@@ -10,8 +10,7 @@
 #include <string>
 
 #include "pss/common/table.hpp"
-#include "pss/graph/metrics.hpp"
-#include "pss/graph/undirected_graph.hpp"
+#include "pss/obs/graph_census.hpp"
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/churn.hpp"
 #include "pss/sim/cycle_engine.hpp"
@@ -40,6 +39,7 @@ int main(int argc, char** argv) {
          .contacts_per_join = 1},
         Rng(seed + 7));
 
+    obs::GraphCensus census;
     TextTable table;
     table.row()
         .cell("cycle")
@@ -55,10 +55,10 @@ int main(int argc, char** argv) {
       churn_model.apply(net);
       engine.run_cycle();
       if (cycle % report_every == 0) {
-        const auto g = graph::UndirectedGraph::from_network(net);
-        const auto comp = graph::connected_components(g);
-        const auto deg = graph::degree_summary(g);
-        const auto dead = net.count_dead_links();
+        census.rebuild(net);
+        const obs::ComponentStats& comp = census.components();
+        const obs::DegreeStats& deg = census.degree_stats();
+        const auto dead = census.dead_link_count();
         const auto total_links = net.live_count() * 30;
         table.row()
             .cell(static_cast<std::int64_t>(cycle))

@@ -9,9 +9,7 @@
 #include <iostream>
 #include <set>
 
-#include "pss/experiments/scenario.hpp"
-#include "pss/graph/metrics.hpp"
-#include "pss/graph/undirected_graph.hpp"
+#include "pss/obs/graph_census.hpp"
 #include "pss/service/peer_sampling_service.hpp"
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/cycle_engine.hpp"
@@ -30,11 +28,16 @@ int main() {
   // 2. Run the cycle-driven engine until the overlay converges.
   sim::CycleEngine engine(network);
   engine.run(50);
-  const auto g = graph::UndirectedGraph::from_network(network);
+  //    GraphCensus measures the overlay straight from the view storage; a
+  //    path-length "sample" of every live node is the exact all-pairs mean
+  //    and draws nothing from its Rng.
+  obs::GraphCensus census;
+  census.rebuild(network);
+  Rng no_draws(0);
   std::cout << "after " << engine.cycle() << " cycles: avg degree "
-            << graph::average_degree(g) << ", path length "
-            << graph::average_path_length(g).average << ", connected="
-            << (graph::connected_components(g).connected() ? "yes" : "no")
+            << census.degree_stats().mean << ", path length "
+            << census.path_length_sampled(census.live_count(), no_draws).average
+            << ", connected=" << (census.components().count <= 1 ? "yes" : "no")
             << "\n";
 
   // 3. The service API as a joining node uses it: a fresh node enters the

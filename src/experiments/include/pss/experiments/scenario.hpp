@@ -13,6 +13,7 @@
 
 #include "pss/common/types.hpp"
 #include "pss/graph/metrics.hpp"
+#include "pss/obs/graph_census.hpp"
 #include "pss/protocol/spec.hpp"
 #include "pss/sim/network.hpp"
 
@@ -48,8 +49,16 @@ struct MetricsSample {
   std::uint64_t dead_links = 0;
 };
 
-/// Measures the live part of the overlay with the params' estimators.
+/// Measures the live part of the overlay with the params' estimators,
+/// through `census` (rebuilt here; reuse one across samples so its buffers
+/// are sized once). Every field is bit-equal to the graph::metrics
+/// pipeline on the exact snapshot graph given the same `metric_rng` state.
 /// `metric_rng` drives sampling only (never the protocol itself).
+MetricsSample measure(obs::GraphCensus& census, const sim::Network& network,
+                      Cycle cycle, const ScenarioParams& params,
+                      Rng& metric_rng);
+
+/// The same with a census of its own, for one-off measurements.
 MetricsSample measure(const sim::Network& network, Cycle cycle,
                       const ScenarioParams& params, Rng& metric_rng);
 

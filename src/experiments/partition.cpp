@@ -1,8 +1,7 @@
 #include "pss/experiments/partition.hpp"
 
 #include "pss/common/check.hpp"
-#include "pss/graph/metrics.hpp"
-#include "pss/graph/undirected_graph.hpp"
+#include "pss/obs/graph_census.hpp"
 #include "pss/sim/cycle_engine.hpp"
 
 namespace pss::experiments {
@@ -41,10 +40,10 @@ PartitionResult run_partition_experiment(ProtocolSpec spec,
 
   network.clear_partitions();
   engine.run(post_cycles);
-  const auto g = graph::UndirectedGraph::from_network(network);
-  const auto comp = graph::connected_components(g);
-  result.components_after_rejoin = comp.count;
-  result.largest_after_rejoin = comp.largest;
+  obs::GraphCensus census;
+  census.rebuild(network);
+  result.components_after_rejoin = census.components().count;
+  result.largest_after_rejoin = census.components().largest;
   return result;
 }
 

@@ -1,38 +1,40 @@
 #include "pss/experiments/scenario.hpp"
 
 #include "pss/common/check.hpp"
-#include "pss/graph/undirected_graph.hpp"
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/cycle_engine.hpp"
 
 namespace pss::experiments {
 
-MetricsSample measure(const sim::Network& network, Cycle cycle,
-                      const ScenarioParams& params, Rng& metric_rng) {
+MetricsSample measure(obs::GraphCensus& census, const sim::Network& network,
+                      Cycle cycle, const ScenarioParams& params,
+                      Rng& metric_rng) {
   MetricsSample s;
   s.cycle = cycle;
-  s.live_nodes = network.live_count();
-  s.dead_links = network.count_dead_links();
-  const auto g = graph::UndirectedGraph::from_network(network);
-  if (g.vertex_count() == 0) return s;
-  s.avg_degree = graph::average_degree(g);
-  if (params.exact_metrics) {
-    s.clustering = graph::clustering_coefficient(g);
-    const auto path = graph::average_path_length(g);
-    s.path_length = path.average;
-    s.reachable_fraction = path.reachable_fraction;
-  } else {
-    s.clustering =
-        graph::clustering_coefficient_sampled(g, params.clustering_sample, metric_rng);
-    const auto path =
-        graph::average_path_length_sampled(g, params.path_sources, metric_rng);
-    s.path_length = path.average;
-    s.reachable_fraction = path.reachable_fraction;
-  }
-  const auto comp = graph::connected_components(g);
-  s.components = comp.count;
-  s.largest_component = comp.largest;
+  census.rebuild(network);
+  const std::size_t n = census.live_count();
+  s.live_nodes = n;
+  s.dead_links = census.dead_link_count();
+  if (n == 0) return s;
+  // graph::average_degree's expression, on the same edge count.
+  s.avg_degree = 2.0 * static_cast<double>(census.undirected_edge_count()) /
+                 static_cast<double>(n);
+  // A sample of every live node is the exact estimator (no draws).
+  s.clustering = census.clustering_sampled(
+      params.exact_metrics ? n : params.clustering_sample, metric_rng);
+  const auto path = census.path_length_sampled(
+      params.exact_metrics ? n : params.path_sources, metric_rng);
+  s.path_length = path.average;
+  s.reachable_fraction = path.reachable_fraction;
+  s.components = census.components().count;
+  s.largest_component = census.components().largest;
   return s;
+}
+
+MetricsSample measure(const sim::Network& network, Cycle cycle,
+                      const ScenarioParams& params, Rng& metric_rng) {
+  obs::GraphCensus census;
+  return measure(census, network, cycle, params, metric_rng);
 }
 
 ScenarioResult run_scenario(sim::Network network, const ScenarioParams& params,
@@ -43,12 +45,16 @@ ScenarioResult run_scenario(sim::Network network, const ScenarioParams& params,
   Rng metric_rng(params.seed ^ 0xA5A5A5A5A5A5A5A5ULL);
   ScenarioResult result{.series = {}, .network = std::move(network)};
   sim::CycleEngine engine(result.network);
-  result.series.push_back(measure(result.network, 0, params, metric_rng));
+  // One census for the whole run: its buffers are sized by the first
+  // sample and reused by every later one.
+  obs::GraphCensus census;
+  result.series.push_back(measure(census, result.network, 0, params, metric_rng));
   for (Cycle cycle = 1; cycle <= params.cycles; ++cycle) {
     if (pre_cycle) pre_cycle(result.network, cycle);
     engine.run_cycle();
     if (cycle % params.sample_interval == 0 || cycle == params.cycles) {
-      result.series.push_back(measure(result.network, cycle, params, metric_rng));
+      result.series.push_back(
+          measure(census, result.network, cycle, params, metric_rng));
     }
   }
   return result;
@@ -97,15 +103,16 @@ PartitioningStats run_growing_partitioning(ProtocolSpec spec,
     ScenarioParams p = params;
     p.seed = params.seed + r;
     // Partitioning statistics only need the final topology: skip interior
-    // metric sampling for speed.
+    // metric sampling for speed. The final cycle is always sampled, so the
+    // last sample's components are the census's components() of the final
+    // overlay.
     p.sample_interval = params.cycles > 0 ? params.cycles : 1;
-    auto result = run_growing_scenario(spec, p);
-    const auto g = graph::UndirectedGraph::from_network(result.network);
-    const auto comp = graph::connected_components(g);
-    if (comp.count > 1) {
+    const auto result = run_growing_scenario(spec, p);
+    const MetricsSample& last = result.final_sample();
+    if (last.components > 1) {
       ++stats.partitioned_runs;
-      cluster_sum += static_cast<double>(comp.count);
-      largest_sum += static_cast<double>(comp.largest);
+      cluster_sum += static_cast<double>(last.components);
+      largest_sum += static_cast<double>(last.largest_component);
     }
   }
   if (stats.partitioned_runs > 0) {

@@ -1,6 +1,8 @@
 #include "pss/obs/graph_census.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "pss/common/check.hpp"
 
@@ -62,8 +64,7 @@ void GraphCensus::rebuild(const sim::Network& network) {
     if (network.is_live(id)) live_list_.push_back(id);
   }
 
-  const unsigned lanes = lane_count(live_list_.size());
-  if (lanes > 1) lanes_.resize(lanes);
+  const unsigned lanes = lanes_for(live_list_.size());
 
   // Pass 1 — one walk over the packed descriptors: live out-degrees and
   // in-degree counts (the "count" half of the CSR build). The edge filter
@@ -296,22 +297,6 @@ void GraphCensus::rebuild(const sim::Network& network) {
   components_.count = comp_sizes_.size();
   components_.largest = comp_sizes_.empty() ? 0 : comp_sizes_.front();
   components_.outside_largest = live_list_.size() - components_.largest;
-
-  // Clustering scratch: before dedup a node's out+in entry count is
-  // und + mutual <= 2 * und, so 2 * max_deg is a hard per-snapshot
-  // ceiling; as with the histogram, reserve 2x ahead of need so ordinary
-  // max-degree drift never re-allocates.
-  if (nbr_union_.capacity() < 2 * max_deg) {
-    nbr_union_.reserve(std::max<std::size_t>(512, 4 * max_deg));
-  }
-
-  // BFS state: sized once; epochs make per-call reset O(1).
-  if (stamp_.size() < n) {
-    stamp_.assign(n, 0);
-    epoch_ = 0;
-  }
-  dist_.resize(n);
-  queue_.reserve(n);
 }
 
 std::uint32_t GraphCensus::find_root(std::uint32_t x) {
@@ -331,126 +316,130 @@ void GraphCensus::unite(std::uint32_t a, std::uint32_t b) {
   comp_size_[ra] += comp_size_[rb];
 }
 
-bool GraphCensus::has_directed_edge(NodeId from, NodeId to) const {
-  const std::span<const NodeId> sources = in_list(to);
-  return std::binary_search(sources.begin(), sources.end(), from);
+void GraphCensus::pick_live_nodes(std::size_t sample, Rng& rng) {
+  const std::size_t n = live_list_.size();
+  if (sample >= n) {
+    // Every live node, ascending — the exact module's vertex order (its
+    // exhaustive estimators consume no randomness either).
+    picks_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) picks_[i] = i;
+  } else {
+    // Same draw sequence as rng.sample_indices (which delegates here), so a
+    // cloned Rng reproduces the graph:: sampled estimators bit-exactly.
+    rng.sample_indices_into(n, sample, picks_, pick_scratch_);
+  }
 }
 
-bool GraphCensus::has_undirected_edge(NodeId a, NodeId b) const {
-  return has_directed_edge(a, b) || has_directed_edge(b, a);
-}
-
-double GraphCensus::local_clustering(NodeId id,
-                                     std::vector<NodeId>& scratch) const {
+double GraphCensus::local_clustering(NodeId v, LaneScratch& sc) const {
+  const std::uint32_t d = und_deg_[v];
+  if (d < 2) return 0;
   const sim::Network& network = *net_;
   const std::size_t n = network.size();
-  scratch.clear();
-  for (const NodeDescriptor& d : network.view_span(id)) {
-    const NodeId w = d.address;
-    if (w == id || w >= n || !network.is_live(w)) continue;
-    scratch.push_back(w);
+  // This pick issues d + 1 consecutive epochs: `base` marks N(v), then one
+  // per member a dedups a's walk. Earlier picks' epochs are all below
+  // `base`, so mark[w] >= base  <=>  w ∈ N(v).
+  if (sc.epoch > std::numeric_limits<std::uint32_t>::max() - d - 1) {
+    std::fill(sc.mark.begin(), sc.mark.end(), 0);  // u32 wrap, ~never
+    sc.epoch = 0;
   }
-  const std::span<const NodeId> sources = in_list(id);
-  scratch.insert(scratch.end(), sources.begin(), sources.end());
-  std::sort(scratch.begin(), scratch.end());
-  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-  const std::size_t d = scratch.size();
-  PSS_DCHECK(d == und_deg_[id]);
-  if (d < 2) return 0;
-  std::size_t links = 0;
-  for (std::size_t i = 0; i < d; ++i) {
-    for (std::size_t j = i + 1; j < d; ++j) {
-      if (has_undirected_edge(scratch[i], scratch[j])) ++links;
+  const std::uint32_t base = ++sc.epoch;
+  sc.nbhd.clear();
+  const auto join = [&](NodeId w) {
+    if (sc.mark[w] != base) {
+      sc.mark[w] = base;
+      sc.nbhd.push_back(w);
     }
+  };
+  for (const NodeDescriptor& desc : network.view_span(v)) {
+    const NodeId w = desc.address;
+    if (w == v || w >= n || !network.is_live(w)) continue;
+    join(w);
   }
+  for (const NodeId w : in_list(v)) join(w);
+  PSS_DCHECK(sc.nbhd.size() == d);
+  // Σ over a ∈ N(v) of a's distinct neighbours inside N(v): every
+  // undirected edge among N(v) is counted once from each end. Only live
+  // members of N(v) carry a mark >= base, so dead targets need no
+  // liveness test — just the range check and skipping a's own address.
+  std::uint64_t ends = 0;
+  for (const NodeId a : sc.nbhd) {
+    const std::uint32_t own = ++sc.epoch;
+    const auto count = [&](NodeId w) {
+      if (sc.mark[w] >= base && sc.mark[w] != own) {
+        sc.mark[w] = own;
+        ++ends;
+      }
+    };
+    for (const NodeDescriptor& desc : network.view_span(a)) {
+      const NodeId w = desc.address;
+      if (w != a && w < n) count(w);
+    }
+    for (const NodeId w : in_list(a)) count(w);
+  }
+  const std::uint64_t links = ends / 2;
   return 2.0 * static_cast<double>(links) /
          (static_cast<double>(d) * static_cast<double>(d - 1));
 }
 
 double GraphCensus::clustering_sampled(std::size_t sample, Rng& rng) {
   PSS_CHECK_MSG(net_ != nullptr, "rebuild() before sampling");
-  const std::size_t n = live_list_.size();
-  if (n == 0) return 0;
-  std::size_t count;
-  if (sample >= n) {
-    // Exact: every live node, ascending — the exact module's vertex order
-    // (consumes no randomness, like the exact graph estimator).
-    count = n;
-    picks_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) picks_[i] = i;
-  } else {
-    PSS_CHECK_MSG(sample > 0, "sample size must be positive");
-    // Same draw sequence as rng.sample_indices (which delegates here), so a
-    // cloned Rng reproduces graph::clustering_coefficient_sampled
-    // bit-exactly.
-    rng.sample_indices_into(n, sample, picks_, pick_scratch_);
-    count = sample;
-  }
-  const unsigned lanes = lane_count(count);
-  double sum = 0;
-  if (lanes == 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      sum += local_clustering(live_list_[picks_[i]], nbr_union_);
+  if (live_list_.empty()) return 0;
+  PSS_CHECK_MSG(sample > 0, "sample size must be positive");
+  pick_live_nodes(sample, rng);
+  const std::size_t count = picks_.size();
+  const std::size_t net_n = net_->size();
+  const std::size_t max_deg = hist_.size() - 1;
+  pick_clust_.resize(count);
+  // Each pick's coefficient is a pure function of the frozen census, so
+  // lanes compute contiguous chunks independently; the serial pick-order
+  // reduction below is the exact module's double accumulation.
+  const unsigned lanes = lanes_for(count);
+  fan_out(lanes, [&](unsigned lane) {
+    LaneScratch& sc = lanes_[lane];
+    if (sc.mark.size() < net_n) sc.mark.resize(net_n, 0);  // 0 < any base
+    if (sc.nbhd.capacity() < max_deg) {
+      // 2x headroom (floor 512) so ordinary max-degree drift never
+      // re-allocates, as with the histogram.
+      sc.nbhd.reserve(std::max<std::size_t>(512, 2 * max_deg));
     }
-  } else {
-    // Each pick's coefficient is a pure function of the frozen census, so
-    // lanes compute them independently; the serial pick-order reduction
-    // reproduces the sequential double accumulation exactly.
-    lanes_.resize(lanes);
-    pick_clust_.resize(count);
-    pool_->run([&](unsigned lane) {
-      const Chunk ch = lane_chunk(count, lanes, lane);
-      std::vector<NodeId>& scratch = lanes_[lane].nbr_union;
-      for (std::size_t i = ch.first; i < ch.last; ++i) {
-        pick_clust_[i] = local_clustering(live_list_[picks_[i]], scratch);
-      }
-    });
-    for (std::size_t i = 0; i < count; ++i) sum += pick_clust_[i];
-  }
+    const Chunk ch = lane_chunk(count, lanes, lane);
+    for (std::size_t i = ch.first; i < ch.last; ++i) {
+      pick_clust_[i] = local_clustering(live_list_[picks_[i]], sc);
+    }
+  });
+  double sum = 0;
+  for (std::size_t i = 0; i < count; ++i) sum += pick_clust_[i];
   return sum / static_cast<double>(count);
 }
 
-void GraphCensus::bfs_from(NodeId source, std::vector<std::uint32_t>& dist,
-                           std::vector<std::uint32_t>& stamp,
-                           std::vector<NodeId>& queue,
-                           std::uint32_t& epoch) const {
+std::uint64_t GraphCensus::bfs_level(std::size_t first, std::size_t last,
+                                     std::uint64_t all) {
   const sim::Network& network = *net_;
   const std::size_t n = network.size();
-  if (++epoch == 0) {  // u32 wrap: reset stamps once every 4G calls
-    std::fill(stamp.begin(), stamp.end(), 0);
-    epoch = 1;
-  }
-  queue.clear();
-  queue.push_back(source);
-  dist[source] = 0;
-  stamp[source] = epoch;
-  std::size_t head = 0;
-  while (head < queue.size()) {
-    const NodeId u = queue[head++];
-    const std::uint32_t du = dist[u];
-    // Undirected neighbourhood = out-targets ∪ in-sources; duplicates are
-    // harmless (the stamp check rejects revisits).
-    for (const NodeDescriptor& d : network.view_span(u)) {
-      const NodeId w = d.address;
-      if (w == u || w >= n || !network.is_live(w)) continue;
-      if (stamp[w] != epoch) {
-        stamp[w] = epoch;
-        dist[w] = du + 1;
-        queue.push_back(w);
+  std::uint64_t reached = 0;
+  for (std::size_t i = first; i < last; ++i) {
+    const NodeId v = live_list_[i];
+    const std::uint64_t seen = seen_[v];
+    std::uint64_t fresh = 0;
+    if (seen != all) {
+      // Pull: v is reached by every source whose frontier touches one of
+      // its neighbours (view span ∪ in-list). Dead targets hold an all-zero
+      // frontier and v's own bits are already seen, so no liveness or
+      // self filter is needed — only the range check.
+      std::uint64_t acc = 0;
+      for (const NodeDescriptor& d : network.view_span(v)) {
+        if (d.address < n) acc |= frontier_[d.address];
       }
-    }
-    for (const NodeId w : in_list(u)) {
-      if (stamp[w] != epoch) {
-        stamp[w] = epoch;
-        dist[w] = du + 1;
-        queue.push_back(w);
+      if ((acc | seen) != all) {  // the in-list can only add missing bits
+        for (const NodeId w : in_list(v)) acc |= frontier_[w];
       }
+      fresh = acc & ~seen;
+      seen_[v] = seen | fresh;
+      reached += static_cast<std::uint64_t>(std::popcount(fresh));
     }
+    next_[v] = fresh;
   }
-}
-
-void GraphCensus::bfs(NodeId source) {
-  bfs_from(source, dist_, stamp_, queue_, epoch_);
+  return reached;
 }
 
 PathLengthEstimate GraphCensus::path_length_sampled(std::size_t sources,
@@ -458,89 +447,62 @@ PathLengthEstimate GraphCensus::path_length_sampled(std::size_t sources,
   PSS_CHECK_MSG(net_ != nullptr, "rebuild() before sampling");
   const std::size_t n = live_list_.size();
   PathLengthEstimate r;
-  const bool exhaustive = sources >= n;
-  if (!exhaustive) {
-    PSS_CHECK_MSG(sources > 0, "source sample must be positive");
-  }
-  if (n < 2 || sources == 0) return r;
-  if (!exhaustive) {
-    rng.sample_indices_into(n, sources, picks_, pick_scratch_);
-  } else {
-    // Every live node, ascending — mirrors graph::average_path_length
-    // (which consumes no randomness).
-    picks_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) picks_[i] = i;
-  }
-  double total = 0;
+  if (n == 0) return r;
+  PSS_CHECK_MSG(sources > 0, "source sample must be positive");
+  if (n < 2) return r;
+  pick_live_nodes(sources, rng);
+  const std::size_t count = picks_.size();
+  const std::size_t net_n = net_->size();
+  seen_.resize(net_n);
+  frontier_.resize(net_n);
+  next_.resize(net_n);
+
+  // Bit-parallel BFS: source j of a batch of up to 64 owns bit j of every
+  // node's seen/frontier/next word, so one sweep over the live list
+  // advances all of them a level. The level-L sweep reaches `reached`
+  // (source, node) pairs, each at distance exactly L, so the distance sum,
+  // reachable-pair count and diameter are exact integers. The exact module
+  // accumulates the same distances one by one into a double; every partial
+  // sum is an integer below 2^53, so that double equals this integer total
+  // converted once, whatever the order.
+  std::uint64_t total = 0;
   std::uint64_t reachable_pairs = 0;
   std::uint32_t diameter = 0;
-  const unsigned lanes = lane_count(picks_.size());
-  if (lanes == 1) {
-    for (const std::size_t s : picks_) {
-      bfs(live_list_[s]);
-      // Accumulate in exact-graph vertex order (live ascending) so the
-      // floating-point sum is bit-equal to path_length_from_sources.
-      for (std::size_t v = 0; v < n; ++v) {
-        if (v == s) continue;
-        const NodeId id = live_list_[v];
-        if (stamp_[id] != epoch_) continue;
-        total += static_cast<double>(dist_[id]);
-        ++reachable_pairs;
-        diameter = std::max(diameter, dist_[id]);
-      }
+  const unsigned lanes = lanes_for(n);
+  for (std::size_t b = 0; b < count; b += 64) {
+    const std::size_t k = std::min<std::size_t>(64, count - b);
+    const std::uint64_t all = k == 64 ? ~std::uint64_t{0}
+                                      : (std::uint64_t{1} << k) - 1;
+    std::fill(seen_.begin(), seen_.end(), 0);
+    std::fill(frontier_.begin(), frontier_.end(), 0);
+    std::fill(next_.begin(), next_.end(), 0);
+    for (std::size_t j = 0; j < k; ++j) {
+      const NodeId s = live_list_[picks_[b + j]];
+      seen_[s] |= std::uint64_t{1} << j;
+      frontier_[s] |= std::uint64_t{1} << j;
     }
-  } else {
-    // Each source's BFS runs on its own lane-local epoch-stamped state,
-    // producing an exact integer (distance-sum, reachable-count, max)
-    // triple per pick. The serial pick-order reduction then matches the
-    // sequential double accumulation bit for bit: every sequential partial
-    // sum is an exact integer (distances are u32 and the grand total stays
-    // far below 2^53), so no addition in either order ever rounds.
-    lanes_.resize(lanes);
-    const std::size_t count = picks_.size();
-    pick_total_.resize(count);
-    pick_reach_.resize(count);
-    pick_diam_.resize(count);
-    const std::size_t net_n = net_->size();
-    pool_->run([&](unsigned lane) {
-      LaneScratch& sc = lanes_[lane];
-      if (sc.stamp.size() < net_n) {
-        sc.stamp.assign(net_n, 0);
-        sc.epoch = 0;
+    for (std::uint32_t level = 1;; ++level) {
+      // Lanes sweep contiguous chunks of the live list: each writes only
+      // its own nodes' seen/next words and reads the frozen frontier.
+      fan_out(lanes, [&](unsigned lane) {
+        const Chunk ch = lane_chunk(n, lanes, lane);
+        lanes_[lane].reached = bfs_level(ch.first, ch.last, all);
+      });
+      std::uint64_t reached = 0;
+      for (unsigned lane = 0; lane < lanes; ++lane) {
+        reached += lanes_[lane].reached;
       }
-      sc.dist.resize(net_n);
-      const Chunk ch = lane_chunk(count, lanes, lane);
-      for (std::size_t i = ch.first; i < ch.last; ++i) {
-        const std::size_t s = picks_[i];
-        bfs_from(live_list_[s], sc.dist, sc.stamp, sc.queue, sc.epoch);
-        std::uint64_t sum = 0, reach = 0;
-        std::uint32_t diam = 0;
-        for (std::size_t v = 0; v < n; ++v) {
-          if (v == s) continue;
-          const NodeId id = live_list_[v];
-          if (sc.stamp[id] != sc.epoch) continue;
-          sum += sc.dist[id];
-          ++reach;
-          diam = std::max(diam, sc.dist[id]);
-        }
-        pick_total_[i] = sum;
-        pick_reach_[i] = reach;
-        pick_diam_[i] = diam;
-      }
-    });
-    std::uint64_t total_int = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      total_int += pick_total_[i];
-      reachable_pairs += pick_reach_[i];
-      diameter = std::max(diameter, pick_diam_[i]);
+      if (reached == 0) break;
+      total += std::uint64_t{level} * reached;
+      reachable_pairs += reached;
+      diameter = std::max(diameter, level);
+      frontier_.swap(next_);
     }
-    total = static_cast<double>(total_int);
   }
-  const std::uint64_t all_pairs =
-      static_cast<std::uint64_t>(picks_.size()) * (n - 1);
-  r.average = reachable_pairs > 0
-                  ? total / static_cast<double>(reachable_pairs)
-                  : 0;
+  const std::uint64_t all_pairs = static_cast<std::uint64_t>(count) * (n - 1);
+  r.average = reachable_pairs > 0 ? static_cast<double>(total) /
+                                        static_cast<double>(reachable_pairs)
+                                  : 0;
   r.reachable_fraction =
       all_pairs > 0
           ? static_cast<double>(reachable_pairs) / static_cast<double>(all_pairs)
@@ -554,10 +516,8 @@ std::size_t GraphCensus::storage_bytes() const {
   for (const LaneScratch& sc : lanes_) {
     lane_bytes += sc.in_cnt.capacity() * sizeof(std::uint32_t) +
                   sc.cursor.capacity() * sizeof(std::size_t) +
-                  sc.dist.capacity() * sizeof(std::uint32_t) +
-                  sc.stamp.capacity() * sizeof(std::uint32_t) +
-                  sc.queue.capacity() * sizeof(NodeId) +
-                  sc.nbr_union.capacity() * sizeof(NodeId);
+                  sc.mark.capacity() * sizeof(std::uint32_t) +
+                  sc.nbhd.capacity() * sizeof(NodeId);
   }
   return live_list_.capacity() * sizeof(NodeId) +
          out_deg_.capacity() * sizeof(std::uint32_t) +
@@ -569,16 +529,12 @@ std::size_t GraphCensus::storage_bytes() const {
          parent_.capacity() * sizeof(std::uint32_t) +
          comp_size_.capacity() * sizeof(std::uint32_t) +
          comp_sizes_.capacity() * sizeof(std::size_t) +
-         dist_.capacity() * sizeof(std::uint32_t) +
-         stamp_.capacity() * sizeof(std::uint32_t) +
-         queue_.capacity() * sizeof(NodeId) +
+         seen_.capacity() * sizeof(std::uint64_t) +
+         frontier_.capacity() * sizeof(std::uint64_t) +
+         next_.capacity() * sizeof(std::uint64_t) +
          picks_.capacity() * sizeof(std::size_t) +
          pick_scratch_.capacity() * sizeof(std::size_t) +
-         nbr_union_.capacity() * sizeof(NodeId) +
-         pick_clust_.capacity() * sizeof(double) +
-         pick_total_.capacity() * sizeof(std::uint64_t) +
-         pick_reach_.capacity() * sizeof(std::uint64_t) +
-         pick_diam_.capacity() * sizeof(std::uint32_t) + lane_bytes;
+         pick_clust_.capacity() * sizeof(double) + lane_bytes;
 }
 
 }  // namespace pss::obs

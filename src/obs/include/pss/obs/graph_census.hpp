@@ -26,20 +26,34 @@
 //
 //   Sampled estimators (clustering, path length) then run on demand over
 //   the implicit adjacency — a node's undirected neighbourhood is its view
-//   span unioned with its in-list — using epoch-stamped BFS state, so no
-//   per-call clearing of N-sized arrays.
+//   span unioned with its in-list:
+//     clustering   counts marks instead of testing pairs: stamp N(v), then
+//                  for each a ∈ N(v) walk a's out-list and in-list and
+//                  count the distinct neighbours carrying the stamp (a
+//                  second, per-a epoch dedups mutual entries). Half the sum
+//                  is the number of edges among N(v) — O(Σ deg) per pick
+//                  instead of O(deg² · log deg) edge lookups;
+//     path length  runs a bit-parallel multi-source BFS: up to 64 sources
+//                  per batch, one u64 per node each for seen, frontier and
+//                  next. A level is one pull sweep over the live list that
+//                  ORs the frontier words of the node's neighbours, so one
+//                  pass over the adjacency advances 64 searches; distance
+//                  sum (level · popcount), reachable pairs and diameter are
+//                  tallied as integers.
 //
 // Parallel execution: set_thread_pool attaches a sim::ThreadPool and the
 // per-node passes (1–3) plus the sampled estimators fan their node/source
 // loops across lanes, bit-identical to the sequential walk at any lane
 // count. The decomposition is deterministic by construction: lanes own
-// contiguous chunks of the ascending live list (or pick list), every
-// shared array cell has exactly one writer (out/und degrees by source
-// node; the in-CSR through per-lane cursor bases derived from per-lane
-// counts, which also keeps each in-list sorted), and cross-lane reductions
-// are either exact integers merged in lane order or per-pick values
-// reduced serially in pick order — so no floating-point reassociation and
-// no write order can differ from the sequential pass. Union-find (pass 4)
+// contiguous chunks of the ascending live list (or pick list; for the BFS,
+// of each level's sweep), every shared array cell has exactly one writer
+// (out/und degrees and BFS words by node; the in-CSR through per-lane
+// cursor bases derived from per-lane counts, which also keeps each in-list
+// sorted), and cross-lane reductions are either exact integers merged in
+// lane order or per-pick values reduced serially in pick order — so no
+// floating-point reassociation and no write order can differ from the
+// sequential pass. The estimators have no separate serial code: without a
+// pool they run the same per-lane task once, as lane 0. Union-find (pass 4)
 // and the histogram/summary folds stay serial: they are O(N) against the
 // O(N·c) passes and the summary's double accumulation order is part of the
 // bit-equality contract with graph::degree_summary.
@@ -52,12 +66,16 @@
 //     re-indexed vertices ascending);
 //   - clustering_sampled / path_length_sampled: given the same Rng state,
 //     bit-equal to the graph::metrics sampled estimators (same draw
-//     sequence, same accumulation order), hence trivially inside any error
-//     bound the exact module satisfies.
+//     sequence; the clustering sum in the same pick order over the same
+//     integer edge counts; path-length totals exact integers, which the
+//     exact module's double accumulation reproduces because every partial
+//     sum stays below 2^53), hence trivially inside any error bound the
+//     exact module satisfies.
 //
 // Allocation discipline: every buffer is a persistent member sized on the
-// first rebuild (the warm-up); subsequent rebuilds of a same-sized network
-// allocate nothing — the in-CSR is reserved at its hard ceiling of
+// first rebuild or estimator call (the warm-up) — the BFS words once,
+// the clustering marks and neighbourhood list once per lane; subsequent
+// snapshots of a same-sized network allocate nothing — the in-CSR is reserved at its hard ceiling of
 // n·view_capacity entries, and the degree-indexed buffers carry 2x
 // headroom over the warm-up snapshot's max degree, so re-allocating one
 // takes a doubling of the max degree (a protocol regime change, not
@@ -187,33 +205,47 @@ class GraphCensus {
   std::size_t storage_bytes() const;
 
  private:
-  /// Per-lane working state for the parallel passes; sized lazily to the
-  /// attached pool's lane count and reused across rebuilds and estimator
-  /// calls (same persistence discipline as the serial buffers).
+  /// Per-lane working state; lane 0 doubles as the serial path's scratch.
+  /// Sized lazily to the attached pool's lane count and reused across
+  /// rebuilds and estimator calls (same persistence discipline as the
+  /// shared buffers).
   struct LaneScratch {
     std::vector<std::uint32_t> in_cnt;   ///< pass-1 per-lane in-degree counts
     std::vector<std::size_t> cursor;     ///< pass-2 per-lane CSR cursors
-    std::vector<std::uint32_t> dist;     ///< per-lane BFS state
-    std::vector<std::uint32_t> stamp;
-    std::vector<NodeId> queue;
+    /// Clustering marks, epoch-stamped per address (see local_clustering).
+    std::vector<std::uint32_t> mark;
     std::uint32_t epoch = 0;
-    std::vector<NodeId> nbr_union;       ///< per-lane clustering scratch
+    std::vector<NodeId> nbhd;            ///< one pick's distinct neighbours
+    std::uint64_t reached = 0;           ///< BFS level tally of this lane
   };
 
   std::uint32_t find_root(std::uint32_t x);
   void unite(std::uint32_t a, std::uint32_t b);
-  bool has_directed_edge(NodeId from, NodeId to) const;
-  bool has_undirected_edge(NodeId a, NodeId b) const;
-  double local_clustering(NodeId id, std::vector<NodeId>& scratch) const;
-  void bfs(NodeId source);
-  void bfs_from(NodeId source, std::vector<std::uint32_t>& dist,
-                std::vector<std::uint32_t>& stamp, std::vector<NodeId>& queue,
-                std::uint32_t& epoch) const;
-  /// Lanes to fan `items` across: the pool's count, or 1 when no pool is
-  /// attached (or there is nothing to split).
-  unsigned lane_count(std::size_t items) const {
-    if (pool_ == nullptr || items < 2) return 1;
-    return pool_->concurrency();
+  /// Fills picks_ with live-list indices: all of them ascending when
+  /// `sample` >= live_count (no draws), else rng.sample_indices' draws.
+  void pick_live_nodes(std::size_t sample, Rng& rng);
+  double local_clustering(NodeId id, LaneScratch& sc) const;
+  /// One pull level of the batched BFS over live_list_[first, last);
+  /// returns the (source, node) pairs newly reached.
+  std::uint64_t bfs_level(std::size_t first, std::size_t last,
+                          std::uint64_t all);
+  /// Lanes to fan `items` across — the pool's count, or 1 when no pool is
+  /// attached (or there is nothing to split) — with a scratch slot each.
+  unsigned lanes_for(std::size_t items) {
+    const unsigned lanes =
+        pool_ == nullptr || items < 2 ? 1 : pool_->concurrency();
+    if (lanes_.size() < lanes) lanes_.resize(lanes);
+    return lanes;
+  }
+  /// Runs task(lane) for every lane: inline when there is one, else on the
+  /// pool. The serial and parallel estimators are this one code path.
+  template <typename Task>
+  void fan_out(unsigned lanes, Task&& task) {
+    if (lanes == 1) {
+      task(0u);
+    } else {
+      pool_->run(task);
+    }
   }
 
   std::span<const NodeId> in_list(NodeId id) const {
@@ -239,26 +271,20 @@ class GraphCensus {
   std::vector<std::uint32_t> comp_size_; ///< union-find size at roots
   std::vector<std::size_t> comp_sizes_;  ///< component sizes, descending
 
-  // BFS state: epoch-stamped so per-call reset is O(1), not O(N).
-  std::vector<std::uint32_t> dist_;
-  std::vector<std::uint32_t> stamp_;
-  std::vector<NodeId> queue_;
-  std::uint32_t epoch_ = 0;
+  // Batched BFS state: bit j of a word belongs to the batch's source j.
+  std::vector<std::uint64_t> seen_;      ///< sources that reached the node
+  std::vector<std::uint64_t> frontier_;  ///< sources that reached it last level
+  std::vector<std::uint64_t> next_;      ///< sources reaching it this level
 
   // Sampling scratch (reuses capacity across estimator calls).
   std::vector<std::size_t> picks_;
   std::vector<std::size_t> pick_scratch_;
-  std::vector<NodeId> nbr_union_;  ///< one node's undirected neighbourhood
+  /// Per-pick local coefficients, reduced serially in pick order.
+  std::vector<double> pick_clust_;
 
   // Parallel execution (inactive until set_thread_pool).
   sim::ThreadPool* pool_ = nullptr;
   std::vector<LaneScratch> lanes_;
-  // Per-pick estimator results, reduced serially in pick order so the
-  // parallel paths reproduce the sequential accumulation bit for bit.
-  std::vector<double> pick_clust_;
-  std::vector<std::uint64_t> pick_total_;
-  std::vector<std::uint64_t> pick_reach_;
-  std::vector<std::uint32_t> pick_diam_;
 };
 
 }  // namespace pss::obs

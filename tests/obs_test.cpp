@@ -41,6 +41,32 @@ sim::Network make_converged(ProtocolSpec spec, std::size_t n, Cycle cycles,
   return net;
 }
 
+/// Estimator sample sizes around the BFS's 64-source batch boundaries, plus
+/// exhaustive (every live node, no draws).
+std::vector<std::size_t> sample_sizes(std::size_t live) {
+  return {1, 63, 64, 65, 129, live};
+}
+
+/// A converged overlay that exercises every adjacency filter the estimators
+/// apply: dead targets (killed nodes still listed in views), mutual edges
+/// (pushpull exchanges, and a hand-made pair), self entries' absence, and
+/// several components (a three-node island holding a dead link, plus an
+/// isolated node).
+sim::Network make_rugged(ProtocolSpec spec, std::uint64_t seed) {
+  sim::Network net = make_converged(spec, 400, 10, seed);
+  net.kill_random(80, net.rng());
+  NodeId dead = 0;
+  while (net.is_live(dead)) ++dead;
+  const NodeId a = net.add_node();
+  const NodeId b = net.add_node();
+  const NodeId c = net.add_node();
+  net.add_node();  // isolated
+  net.node(a).init_view(View{{b, 0}});
+  net.node(b).init_view(View{{a, 0}, {dead, 1}});
+  net.node(c).init_view(View{{b, 0}});
+  return net;
+}
+
 /// Census vs exact pipeline on one snapshot: everything streamed must be
 /// bit-equal (integers and doubles alike — the census mirrors the exact
 /// module's accumulation order).
@@ -299,6 +325,36 @@ TEST(GraphCensus, PathLengthOnDisconnectedOverlayCountsReachablePairsOnly) {
   EXPECT_LT(est.reachable_fraction, 1.0);
 }
 
+TEST(GraphCensus, EstimatorsBitEqualToExactModuleAcrossProtocols) {
+  // The bit-parallel BFS and the mark-count clustering against the
+  // graph::metrics oracle, from cloned Rngs, on every evaluated protocol:
+  // the same draws and bit-equal doubles at every batch-boundary size.
+  for (const auto& spec : ProtocolSpec::evaluated()) {
+    SCOPED_TRACE(spec.name());
+    const sim::Network net = make_rugged(spec, 31);
+    obs::GraphCensus census;
+    census.rebuild(net);
+    const auto g = graph::UndirectedGraph::from_network(net);
+    ASSERT_GT(census.live_count(), 129u);
+    ASSERT_GE(census.components().count, 3u);
+    ASSERT_GT(census.dead_link_count(), 0u);
+    ASSERT_LT(census.undirected_edge_count(), census.directed_edge_count());
+    for (const std::size_t k : sample_sizes(census.live_count())) {
+      SCOPED_TRACE(k);
+      Rng census_rng(1000 + k);
+      Rng exact_rng(1000 + k);
+      EXPECT_EQ(census.clustering_sampled(k, census_rng),
+                graph::clustering_coefficient_sampled(g, k, exact_rng));
+      const auto path = census.path_length_sampled(k, census_rng);
+      const auto exact = graph::average_path_length_sampled(g, k, exact_rng);
+      EXPECT_EQ(path.average, exact.average);
+      EXPECT_EQ(path.reachable_fraction, exact.reachable_fraction);
+      EXPECT_EQ(path.diameter, exact.diameter);
+      EXPECT_EQ(census_rng.below(1u << 20), exact_rng.below(1u << 20));
+    }
+  }
+}
+
 TEST(GraphCensusParallel, RebuildBitEqualToSequentialAtEveryLaneCount) {
   // The set_thread_pool contract: every streamed observable is
   // bit-identical to the sequential rebuild at any lane count, including
@@ -340,42 +396,33 @@ TEST(GraphCensusParallel, RebuildBitEqualToSequentialAtEveryLaneCount) {
 
 TEST(GraphCensusParallel, EstimatorsBitEqualToSequentialAtEveryLaneCount) {
   // Sampled estimators from cloned Rngs: same draws, same per-pick values,
-  // same reductions — doubles compare with EXPECT_EQ, not near.
+  // same reductions — doubles compare with EXPECT_EQ, not near. The sample
+  // sizes straddle the BFS's 64-source batches, up to exhaustive.
   auto net = make_converged(ProtocolSpec::newscast(), 350, 12, 23);
   net.kill_random(40, net.rng());
   obs::GraphCensus seq;
   seq.rebuild(net);
-  Rng seq_rng(77);
-  const double seq_clust = seq.clustering_sampled(64, seq_rng);
-  const double seq_clust_exact = seq.clustering_sampled(seq.live_count(),
-                                                        seq_rng);
-  const std::uint32_t seq_probe = seq_rng.below(1u << 20);
-  Rng seq_path_rng(78);
-  const auto seq_path = seq.path_length_sampled(32, seq_path_rng);
-  const auto seq_path_full =
-      seq.path_length_sampled(seq.live_count(), seq_path_rng);
-  for (unsigned threads : {2u, 4u, 8u}) {
-    sim::ThreadPool pool(threads);
-    obs::GraphCensus par;
-    par.set_thread_pool(&pool);
-    par.rebuild(net);
-    Rng par_rng(77);
-    EXPECT_EQ(seq_clust, par.clustering_sampled(64, par_rng));
-    EXPECT_EQ(seq_clust_exact,
-              par.clustering_sampled(par.live_count(), par_rng));
-    Rng par_path_rng(78);
-    const auto par_path = par.path_length_sampled(32, par_path_rng);
-    EXPECT_EQ(seq_path.average, par_path.average);
-    EXPECT_EQ(seq_path.reachable_fraction, par_path.reachable_fraction);
-    EXPECT_EQ(seq_path.diameter, par_path.diameter);
-    const auto par_path_full =
-        par.path_length_sampled(par.live_count(), par_path_rng);
-    EXPECT_EQ(seq_path_full.average, par_path_full.average);
-    EXPECT_EQ(seq_path_full.reachable_fraction,
-              par_path_full.reachable_fraction);
-    EXPECT_EQ(seq_path_full.diameter, par_path_full.diameter);
-    // The Rng clones must sit at the same stream position afterwards.
-    EXPECT_EQ(seq_probe, par_rng.below(1u << 20));
+  for (const std::size_t k : sample_sizes(seq.live_count())) {
+    SCOPED_TRACE(k);
+    Rng seq_rng(77 + k);
+    const double seq_clust = seq.clustering_sampled(k, seq_rng);
+    const auto seq_path = seq.path_length_sampled(k, seq_rng);
+    const std::uint64_t seq_probe = seq_rng.below(1u << 20);
+    for (unsigned threads : {2u, 4u, 8u}) {
+      SCOPED_TRACE(threads);
+      sim::ThreadPool pool(threads);
+      obs::GraphCensus par;
+      par.set_thread_pool(&pool);
+      par.rebuild(net);
+      Rng par_rng(77 + k);
+      EXPECT_EQ(seq_clust, par.clustering_sampled(k, par_rng));
+      const auto par_path = par.path_length_sampled(k, par_rng);
+      EXPECT_EQ(seq_path.average, par_path.average);
+      EXPECT_EQ(seq_path.reachable_fraction, par_path.reachable_fraction);
+      EXPECT_EQ(seq_path.diameter, par_path.diameter);
+      // The Rng clones must sit at the same stream position afterwards.
+      EXPECT_EQ(seq_probe, par_rng.below(1u << 20));
+    }
   }
 }
 

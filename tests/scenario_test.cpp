@@ -2,12 +2,15 @@
 // mechanics, measurement correctness, and reporting helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "pss/experiments/reporting.hpp"
 #include "pss/experiments/scenario.hpp"
 #include "pss/graph/random_graph.hpp"
+#include "pss/graph/undirected_graph.hpp"
 #include "pss/sim/bootstrap.hpp"
+#include "pss/sim/cycle_engine.hpp"
 
 namespace pss::experiments {
 namespace {
@@ -22,6 +25,57 @@ ScenarioParams small_params() {
   p.exact_metrics = true;
   p.growth_per_cycle = 20;
   return p;
+}
+
+/// The graph/ pipeline measure() ran on before it moved onto GraphCensus:
+/// materialize the snapshot graph, then the graph::metrics estimators in
+/// the same order from the same Rng.
+MetricsSample oracle_measure(const sim::Network& net, Cycle cycle,
+                             const ScenarioParams& p, Rng& rng) {
+  MetricsSample s;
+  s.cycle = cycle;
+  s.live_nodes = net.live_count();
+  s.dead_links = net.count_dead_links();
+  const auto g = graph::UndirectedGraph::from_network(net);
+  if (g.vertex_count() == 0) return s;
+  s.avg_degree = graph::average_degree(g);
+  graph::PathLengthResult path;
+  if (p.exact_metrics) {
+    s.clustering = graph::clustering_coefficient(g);
+    path = graph::average_path_length(g);
+  } else {
+    s.clustering =
+        graph::clustering_coefficient_sampled(g, p.clustering_sample, rng);
+    path = graph::average_path_length_sampled(g, p.path_sources, rng);
+  }
+  s.path_length = path.average;
+  s.reachable_fraction = path.reachable_fraction;
+  const auto comp = graph::connected_components(g);
+  s.components = comp.count;
+  s.largest_component = comp.largest;
+  return s;
+}
+
+/// The growing scenario replayed independently, sampled with oracle_measure.
+/// The metric stream's seed is run_scenario's (params.seed ^ 0xA5A5...).
+std::vector<MetricsSample> oracle_growing_series(ProtocolSpec spec,
+                                                 const ScenarioParams& p) {
+  sim::Network net(spec, p.protocol_options(), p.seed);
+  const NodeId origin = net.add_node();
+  sim::CycleEngine engine(net);
+  Rng rng(p.seed ^ 0xA5A5A5A5A5A5A5A5ULL);
+  std::vector<MetricsSample> series{oracle_measure(net, 0, p, rng)};
+  for (Cycle cycle = 1; cycle <= p.cycles; ++cycle) {
+    const std::size_t room = p.n > net.size() ? p.n - net.size() : 0;
+    for (std::size_t i = 0; i < std::min(p.growth_per_cycle, room); ++i) {
+      net.node(net.add_node()).init_view(View{{origin, 0}});
+    }
+    engine.run_cycle();
+    if (cycle % p.sample_interval == 0 || cycle == p.cycles) {
+      series.push_back(oracle_measure(net, cycle, p, rng));
+    }
+  }
+  return series;
 }
 
 TEST(Measure, MatchesDirectGraphMetrics) {
@@ -111,6 +165,37 @@ TEST(GrowingScenario, PushPullAbsorbsJoiners) {
   EXPECT_EQ(last.components, 1u);
   EXPECT_EQ(last.largest_component, 200u);
   EXPECT_GT(last.avg_degree, 8.0);
+}
+
+TEST(GrowingScenario, SeriesBitEqualToGraphOracleSampleBySample) {
+  // measure() runs on the scenario's reused GraphCensus; every field of
+  // every sample must equal the graph/ pipeline's, doubles bit for bit,
+  // with exhaustive and with sampled estimators (the samples exceed the
+  // early live counts, so both regimes occur within one series).
+  for (const bool exact : {true, false}) {
+    SCOPED_TRACE(exact);
+    ScenarioParams p = small_params();
+    p.cycles = 17;
+    p.sample_interval = 2;
+    p.exact_metrics = exact;
+    p.clustering_sample = 50;
+    p.path_sources = 70;
+    const auto series = run_growing_scenario(ProtocolSpec::newscast(), p).series;
+    const auto oracle = oracle_growing_series(ProtocolSpec::newscast(), p);
+    ASSERT_EQ(series.size(), oracle.size());
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      SCOPED_TRACE(series[i].cycle);
+      EXPECT_EQ(series[i].cycle, oracle[i].cycle);
+      EXPECT_EQ(series[i].live_nodes, oracle[i].live_nodes);
+      EXPECT_EQ(series[i].dead_links, oracle[i].dead_links);
+      EXPECT_EQ(series[i].avg_degree, oracle[i].avg_degree);
+      EXPECT_EQ(series[i].clustering, oracle[i].clustering);
+      EXPECT_EQ(series[i].path_length, oracle[i].path_length);
+      EXPECT_EQ(series[i].reachable_fraction, oracle[i].reachable_fraction);
+      EXPECT_EQ(series[i].components, oracle[i].components);
+      EXPECT_EQ(series[i].largest_component, oracle[i].largest_component);
+    }
+  }
 }
 
 TEST(GrowingPartitioning, AggregatesAcrossRuns) {
