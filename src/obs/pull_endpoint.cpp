@@ -68,10 +68,17 @@ void PullEndpoint::serve_loop() {
     if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
-    // Bounded drain of whatever request line arrived; content ignored —
-    // every path serves the current document.
+    // Bounded wait for the request, then drain it; content ignored — every
+    // path serves the current document. Closing with the request still
+    // unread would make the kernel reset the connection, which can discard
+    // the response before the client has read it.
+    pollfd request{};
+    request.fd = client;
+    request.events = POLLIN;
     char sink[512];
-    (void)::recv(client, sink, sizeof(sink), MSG_DONTWAIT);
+    if (::poll(&request, 1, kPollMs) > 0) {
+      (void)::recv(client, sink, sizeof(sink), MSG_DONTWAIT);
+    }
     std::string body;
     {
       const std::lock_guard<std::mutex> lock(mutex_);

@@ -4,8 +4,9 @@
 // and a LoopbackTransport — the bridge that makes EventEngine the wire
 // stack's reference semantics.
 //
-// The driver merge-pops two queues — its own periodic node timers and the
-// bus's in-flight frames — by (at, seq), with every seq drawn from the
+// The driver merge-pops two queues — its own periodic node timers (a
+// sim::CalendarQueue, EventEngine's scheduler) and the bus's in-flight
+// frames — by (at, seq), with every seq drawn from the
 // bus's single counter (LoopbackTransport::allocate_seq). That recreates
 // EventEngine's one totally-ordered event stream, and the handlers fire in
 // EventEngine's exact statement order:
@@ -25,10 +26,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <queue>
-#include <vector>
 
 #include "pss/common/types.hpp"
+#include "pss/sim/calendar_queue.hpp"
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/network.hpp"
 #include "pss/transport/loopback_transport.hpp"
@@ -82,24 +82,12 @@ class LoopbackDriver {
   void schedule_new_nodes();
   void advance_to(double until);
 
-  struct Timer {
-    double at = 0.0;
-    std::uint64_t seq = 0;
-    NodeId node = kInvalidNode;
-  };
-  struct LaterFirst {
-    bool operator()(const Timer& a, const Timer& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
   sim::Network* network_;
   LoopbackTransport* bus_;
   LoopbackDriverConfig config_;
   std::deque<ServiceNode> nodes_;  ///< deque: stable addresses across growth
   sim::TraceProbe* trace_ = nullptr;  ///< forwarded to nodes on creation
-  std::priority_queue<Timer, std::vector<Timer>, LaterFirst> timers_;
+  sim::CalendarQueue<NodeId> timers_;  ///< node wake-ups by (at, seq)
   WireCodec codec_;
   double now_ = 0.0;
   std::uint64_t messages_to_dead_ = 0;

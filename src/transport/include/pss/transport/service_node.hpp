@@ -24,11 +24,18 @@
 // The node's PeerSamplingService API surface is exposed through
 // gossip_node(): construct a PeerSamplingService over it to get
 // init()/getPeer() backed by the transport-maintained view.
+//
+// A node holds protocol state only. The exchange working memory (merge
+// scratch, request/reply staging, the encoded frame) lives in one
+// workspace per thread, shared by every ServiceNode that runs there. That
+// is safe because a node is single-threaded, nothing in the workspace
+// outlives one on_tick/on_frame call, and Transport::send() copies the
+// frame before it returns (see transport.hpp). A LoopbackDriver at 5*10^4
+// nodes would otherwise carry ~6.5 KB of cold scratch per node.
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "pss/common/rng.hpp"
 #include "pss/common/types.hpp"
@@ -147,10 +154,6 @@ class ServiceNode {
   ServiceNodeStats stats_;
   obs::MetricSink* sink_ = nullptr;
   sim::TraceProbe* trace_ = nullptr;  ///< tracing seam; null = untraced
-  flat::Scratch scratch_;
-  std::vector<NodeDescriptor> buffer_;       ///< request staging, c+1 entries
-  std::vector<NodeDescriptor> reply_buffer_; ///< reply staging, c+1 entries
-  std::vector<std::byte> bytes_;             ///< encoded frame staging
 };
 
 }  // namespace pss::transport

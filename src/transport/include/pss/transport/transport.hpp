@@ -19,6 +19,10 @@
 //     delivery, false means the backend rejected it outright (no route,
 //     kernel buffer full). Acceptance is not a delivery guarantee — the
 //     protocol tolerates loss by design (paper Section 4.4).
+//   * send() copies or transmits the frame before it returns and never
+//     keeps the span: callers reuse the buffer at once (every ServiceNode
+//     on a thread encodes into one shared workspace). Nor does send()
+//     deliver synchronously into a handler; delivery happens in poll().
 //   * poll() synchronously invokes the handler once per deliverable frame
 //     and returns how many were delivered. The `to` argument is the
 //     destination as the backend knows it — the send() argument for

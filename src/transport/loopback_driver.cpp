@@ -9,6 +9,8 @@ LoopbackDriver::LoopbackDriver(sim::Network& network, LoopbackTransport& bus,
     : network_(&network),
       bus_(&bus),
       config_(config),
+      // EventEngine's calendar setting: one year spans two periods.
+      timers_(2.0 * (config.period > 0 ? config.period : 1.0)),
       codec_(network.options().view_size) {
   PSS_CHECK_MSG(config.period > 0 && config.reply_timeout > 0,
                 "LoopbackDriver: period and reply_timeout must be positive");
@@ -27,7 +29,7 @@ void LoopbackDriver::schedule_new_nodes() {
                                           config_.reply_timeout});
     if (trace_ != nullptr) nodes_.back().attach_trace(*trace_);
     const double at = now_ + network_->rng().uniform() * config_.period;
-    timers_.push(Timer{at, bus_->allocate_seq(), id});
+    timers_.push(at, bus_->allocate_seq(), id);
   }
 }
 
@@ -40,23 +42,22 @@ void LoopbackDriver::advance_to(double until) {
     if (!have_timer && !have_frame) break;
     // Merge-pop the two queues by (at, seq): one strict total order, the
     // engine's calendar discipline split across timers and wire.
+    const auto* timer = have_timer ? &timers_.top() : nullptr;
     const bool timer_first =
         have_timer &&
-        (!have_frame || timers_.top().at < frame_next->first ||
-         (timers_.top().at == frame_next->first &&
-          timers_.top().seq < frame_next->second));
-    const double at = timer_first ? timers_.top().at : frame_next->first;
+        (!have_frame || timer->at < frame_next->first ||
+         (timer->at == frame_next->first && timer->seq < frame_next->second));
+    const double at = timer_first ? timer->at : frame_next->first;
     if (at > until) break;
     now_ = at;
     bus_->set_now(at);
     if (timer_first) {
-      const Timer t = timers_.top();
-      timers_.pop();
+      const NodeId node = timers_.pop().value;
       // Rearm before handling so the rearm takes its seq ahead of the
       // request — EventEngine::on_wakeup's event order.
-      timers_.push(Timer{now_ + config_.period, bus_->allocate_seq(), t.node});
-      if (!network_->is_live(t.node)) continue;
-      nodes_[t.node].on_tick(now_);
+      timers_.push(now_ + config_.period, bus_->allocate_seq(), node);
+      if (!network_->is_live(node)) continue;
+      nodes_[node].on_tick(now_);
     } else {
       bus_->poll_one([&](NodeId, std::span<const std::byte> bytes) {
         ParsedFrame frame;

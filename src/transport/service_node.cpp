@@ -1,12 +1,39 @@
 #include "pss/transport/service_node.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "pss/common/check.hpp"
 #include "pss/membership/view.hpp"
 #include "pss/obs/schemas.hpp"
 
 namespace pss::transport {
+
+namespace {
+
+// The per-thread exchange workspace (see service_node.hpp). Scratch's own
+// buffer/reply vectors serve as the request/reply staging: absorb never
+// touches them. Grows to the largest c any node on the thread has used.
+struct Workspace {
+  flat::Scratch scratch;
+  std::vector<std::byte> bytes;  ///< encoded frame; send() copies it out
+};
+
+Workspace& workspace(std::size_t view_size) {
+  // Heap-allocated on the thread's first exchange: a thread that never runs
+  // a ServiceNode keeps one pointer of TLS, not ~6.6 KB it would zero on
+  // creation.
+  thread_local std::unique_ptr<Workspace> ws;
+  if (!ws) ws = std::make_unique<Workspace>();
+  if (ws->scratch.buffer.size() <= view_size) {
+    ws->scratch.buffer.resize(view_size + 1);
+    ws->scratch.reply.resize(view_size + 1);
+  }
+  return *ws;
+}
+
+}  // namespace
 
 ServiceNode::ServiceNode(flat::NodeArena& arena, NodeId slot, NodeId self,
                          ProtocolSpec spec, ProtocolOptions options,
@@ -23,9 +50,6 @@ ServiceNode::ServiceNode(flat::NodeArena& arena, NodeId slot, NodeId self,
   PSS_CHECK_MSG(slot < arena.node_count(), "ServiceNode: slot out of range");
   PSS_CHECK_MSG(config.period > 0 && config.reply_timeout > 0,
                 "ServiceNode: period and reply_timeout must be positive");
-  buffer_.resize(options_.view_size + 1);
-  reply_buffer_.resize(options_.view_size + 1);
-  bytes_.reserve(codec_.max_frame_bytes());
 }
 
 ServiceNode::ServiceNode(NodeId self, ProtocolSpec spec,
@@ -43,9 +67,6 @@ ServiceNode::ServiceNode(NodeId self, ProtocolSpec spec,
       gossip_node_(self, spec, options, owned_.get(), slot_) {
   PSS_CHECK_MSG(config.period > 0 && config.reply_timeout > 0,
                 "ServiceNode: period and reply_timeout must be positive");
-  buffer_.resize(options_.view_size + 1);
-  reply_buffer_.resize(options_.view_size + 1);
-  bytes_.reserve(codec_.max_frame_bytes());
 }
 
 void ServiceNode::init(std::span<const NodeId> contacts) {
@@ -118,8 +139,10 @@ void ServiceNode::on_tick(double now) {
 void ServiceNode::send_request(NodeId peer, std::uint64_t exchange_id) {
   const bool traced = trace_ != nullptr && trace_->armed();
   const std::uint64_t t0 = traced ? sim::trace_clock_ns() : 0;
+  Workspace& ws = workspace(options_.view_size);
   const std::uint32_t n = flat::write_active_buffer(
-      arena_->views.view_of(slot_), self_, spec_.push(), buffer_.data());
+      arena_->views.view_of(slot_), self_, spec_.push(),
+      ws.scratch.buffer.data());
   WireFrame frame;
   frame.type = FrameType::kRequest;
   frame.spec = spec_;
@@ -127,10 +150,10 @@ void ServiceNode::send_request(NodeId peer, std::uint64_t exchange_id) {
   frame.to = peer;
   frame.tick = tick_;
   frame.exchange_id = exchange_id;
-  frame.entries = flat::DescSpan(buffer_.data(), n);
-  codec_.encode(frame, bytes_);
+  frame.entries = flat::DescSpan(ws.scratch.buffer.data(), n);
+  codec_.encode(frame, ws.bytes);
   ++stats_.requests_sent;
-  transport_->send(peer, bytes_);
+  transport_->send(peer, ws.bytes);
   if (traced) {
     trace_->record({sim::TracePhase::kRequestSent, self_, peer, exchange_id,
                     tick_, t0, sim::trace_clock_ns()});
@@ -170,15 +193,17 @@ void ServiceNode::handle_request_frame(const ParsedFrame& frame) {
   // flat::handle_request with the slot/self split (the kernels' passive
   // half assumes slot == self; a standalone daemon's slot is 0): counters,
   // pre-merge reply build and in-merge aging in the exact kernel order.
+  Workspace& ws = workspace(options_.view_size);
   ++arena_->stats[slot_].received;
   std::uint32_t reply_size = 0;
   if (spec_.pull()) {
     reply_size = flat::write_active_buffer(arena_->views.view_of(slot_), self_,
-                                           /*push=*/true, reply_buffer_.data());
+                                           /*push=*/true,
+                                           ws.scratch.reply.data());
     ++arena_->stats[slot_].replies_sent;
   }
   flat::absorb(arena_->views, slot_, self_, spec_, options_, frame.entries,
-               arena_->rngs[slot_], scratch_, /*age_incoming=*/1);
+               arena_->rngs[slot_], ws.scratch, /*age_incoming=*/1);
   if (spec_.pull()) {
     WireFrame reply;
     reply.type = FrameType::kReply;
@@ -187,9 +212,9 @@ void ServiceNode::handle_request_frame(const ParsedFrame& frame) {
     reply.to = frame.from;
     reply.tick = tick_;
     reply.exchange_id = frame.exchange_id;
-    reply.entries = flat::DescSpan(reply_buffer_.data(), reply_size);
-    codec_.encode(reply, bytes_);
-    transport_->send(frame.from, bytes_);
+    reply.entries = flat::DescSpan(ws.scratch.reply.data(), reply_size);
+    codec_.encode(reply, ws.bytes);
+    transport_->send(frame.from, ws.bytes);
   }
   if (traced) {
     trace_->record({sim::TracePhase::kMergeApply, self_, frame.from,
@@ -205,7 +230,8 @@ void ServiceNode::handle_reply_frame(const ParsedFrame& frame, double now) {
   const bool traced = trace_ != nullptr && trace_->armed();
   const std::uint64_t t0 = traced ? sim::trace_clock_ns() : 0;
   flat::absorb(arena_->views, slot_, self_, spec_, options_, frame.entries,
-               arena_->rngs[slot_], scratch_, /*age_incoming=*/1);
+               arena_->rngs[slot_], workspace(options_.view_size).scratch,
+               /*age_incoming=*/1);
   ++stats_.replies_delivered;
   if (traced) {
     trace_->record({sim::TracePhase::kReplyReceived, self_, frame.from,

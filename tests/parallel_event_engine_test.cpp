@@ -149,10 +149,11 @@ TEST(ParallelEventEngineDeterministic, AdversaryHookMatchesSequential) {
   struct HubPoison : ExchangeTamper {
     bool is_byzantine(NodeId node) const override { return node % 7 == 0; }
     bool suppress_aging(NodeId node) const override { return node % 7 == 0; }
+    // AdversaryModel::kHubPoison's lie: the single descriptor {sender, 0},
+    // which keeps the tamper contract (normalized, duplicate-free).
     void forge_buffer(NodeId sender, NodeId /*receiver*/,
                       std::vector<NodeDescriptor>& buffer) override {
-      for (NodeDescriptor& d : buffer) d = {sender, 0};
-      if (buffer.size() > 1) buffer.resize(buffer.size() - 1);
+      buffer.assign(1, NodeDescriptor{sender, 0});
     }
   };
   auto ref_net = bootstrap::make_random(ProtocolSpec::newscast(),

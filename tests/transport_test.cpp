@@ -6,6 +6,8 @@
 //     for (reorder, duplication) plus loss and churn, the protocol
 //     invariants and the wire accounting still hold.
 //   ServiceNodeUnit       — driver mechanics in isolation.
+//   ServiceNodeWorkspace  — the per-thread exchange workspace is shared
+//     safely across drivers of different view sizes, and a node stays small.
 //   LoopbackTransport     — backend queue semantics.
 //   UdpTransport / TransportPollLoop — the socket path, incl. the threaded
 //     poll-loop test TSan runs in CI.
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -246,6 +249,55 @@ TEST(TransportInvariants, MalformedInjectionIsCountedAndHarmless) {
   }
 }
 
+TEST(ServiceNodeWorkspace, DriversOfDifferentViewSizesShareOneThread) {
+  // Two drivers, c = 5 and c = 30, advanced alternately on one thread: the
+  // shared workspace grows to c = 30 and then serves the c = 5 nodes too.
+  // Each run must stay the EventEngine run of its own seed.
+  EventEngineConfig config;
+  config.min_latency = 0.01;
+  config.max_latency = 0.10;
+  config.drop_probability = 0.1;
+  struct Pair {
+    Network engine_net;
+    Network wire_net;
+    EventEngine engine;
+    LoopbackTransport bus;
+    LoopbackDriver driver;
+    Pair(std::size_t c, std::uint64_t seed, const EventEngineConfig& config)
+        : engine_net(sim::bootstrap::make_random(ProtocolSpec::newscast(),
+                                                 ProtocolOptions{c, false}, 120,
+                                                 seed)),
+          wire_net(sim::bootstrap::make_random(ProtocolSpec::newscast(),
+                                               ProtocolOptions{c, false}, 120,
+                                               seed)),
+          engine(engine_net, config),
+          bus(LoopbackConfig{config.min_latency, config.max_latency,
+                             config.drop_probability},
+              wire_net.rng()),
+          driver(wire_net, bus,
+                 LoopbackDriverConfig{config.period, config.reply_timeout}) {}
+  };
+  Pair small(5, 0xD1FF0005, config);
+  Pair large(30, 0xD1FF0006, config);
+  for (int chunk = 0; chunk < 12; ++chunk) {
+    small.driver.run_cycles(1);
+    large.driver.run_cycles(1);
+    small.engine.run_cycles(1);
+    large.engine.run_cycles(1);
+  }
+  for (Pair* p : {&small, &large}) {
+    EXPECT_EQ(scenarios::state_digest(p->engine_net),
+              scenarios::state_digest(p->wire_net));
+    expect_stats_equal(p->engine.stats(), p->driver.engine_stats());
+  }
+  EXPECT_GT(large.driver.engine_stats().replies_delivered, 0u);
+}
+
+TEST(ServiceNodeWorkspace, NodeHoldsNoExchangeScratch) {
+  // Protocol state only; the ~6.5 KB of exchange scratch is per thread.
+  EXPECT_LE(sizeof(ServiceNode), 512u);
+}
+
 TEST(ServiceNodeUnit, MisroutedAndForeignFramesAreCountedNotAbsorbed) {
   Rng bus_rng(0x5E2F0001);
   LoopbackTransport bus({}, bus_rng);
@@ -345,6 +397,22 @@ TEST(LoopbackTransport, DeliversInAtSeqOrder) {
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 2u);
   EXPECT_EQ(bus.in_flight(), 0u);
+}
+
+TEST(LoopbackTransport, SendCopiesTheFrame) {
+  // The Transport contract: send() never keeps the caller's span, so the
+  // sender may overwrite its buffer at once.
+  Rng rng(0x10BA0003);
+  LoopbackTransport bus({}, rng);
+  std::vector<std::byte> frame(6, static_cast<std::byte>(0x3C));
+  bus.send(4, std::span<const std::byte>(frame));
+  std::fill(frame.begin(), frame.end(), static_cast<std::byte>(0xFF));
+  std::vector<std::byte> delivered;
+  bus.poll([&](NodeId, std::span<const std::byte> bytes) {
+    delivered.assign(bytes.begin(), bytes.end());
+  });
+  EXPECT_EQ(delivered,
+            std::vector<std::byte>(6, static_cast<std::byte>(0x3C)));
 }
 
 TEST(LoopbackTransport, DelayedFramesWaitForTheirDueTime) {
