@@ -122,7 +122,7 @@ void BM_FlatHandleRequest(benchmark::State& state) {
   flat::Scratch scratch;
   for (auto _ : state) {
     arena.views.assign(0, snapshot);
-    benchmark::DoNotOptimize(flat::handle_request(arena, 0, request.data(),
+    benchmark::DoNotOptimize(flat::handle_request(arena, 0, 0, request.data(),
                                                   req_n, reply.data(),
                                                   net.spec(), net.options(),
                                                   scratch));
@@ -147,8 +147,9 @@ void BM_FlatHandleReply(benchmark::State& state) {
   flat::Scratch scratch;
   for (auto _ : state) {
     arena.views.assign(0, snapshot);
-    flat::handle_reply(arena, 0, reply.data(), reply_n, net.spec(),
-                       net.options(), scratch);
+    flat::absorb(arena.views, 0, 0, net.spec(), net.options(),
+                 flat::DescSpan(reply.data(), reply_n), arena.rngs[0], scratch,
+                 /*age_incoming=*/1);
     benchmark::DoNotOptimize(arena.views.view_of(0).data());
   }
   simd::set_level_for_testing(simd::detected_level());

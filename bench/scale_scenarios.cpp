@@ -3,9 +3,12 @@
 //
 // Phase 1 — differential gate (the scenario subsystem's reason to exist):
 // for each engine (sequential CycleEngine, Deterministic
-// ParallelCycleEngine, EventEngine) a run with a zero-byzantine
-// AdversaryModel attached must be bit-identical — state digest AND census
-// digest — to the unhooked run, and a CycleEngine run under uniform-mode
+// ParallelCycleEngine, EventEngine, ParallelEventEngine) a run with a
+// zero-byzantine AdversaryModel attached must be bit-identical to the
+// unhooked run: state digest everywhere, census digest on CycleEngine.
+// CycleEngine and EventEngine are checked with both adversary kinds; the
+// 2-lane ParallelEventEngine is hooked with a hub adversary and compared
+// against the unhooked EventEngine. A CycleEngine run under uniform-mode
 // TraceChurn must be bit-identical to the same run under plain ChurnModel.
 // Any divergence is a hard failure (exit 1), in the style of
 // BENCH_parallel.json's deterministic-vs-sequential gate: the equivalence
@@ -48,6 +51,7 @@
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/network.hpp"
 #include "pss/sim/parallel_cycle_engine.hpp"
+#include "pss/sim/parallel_event_engine.hpp"
 
 namespace {
 
@@ -227,6 +231,14 @@ int main() {
     const std::uint64_t plain = run_event(nullptr);
     scenarios::AdversaryModel hub(none_hub);
     gate("event/state", plain, run_event(&hub));
+    scenarios::AdversaryModel forge(none_forge);
+    gate("event/state-forgery", plain, run_event(&forge));
+    sim::Network net = make_net(dn);
+    sim::ParallelEventEngine engine(net, sim::EventEngineConfig{}, 2);
+    scenarios::AdversaryModel par_hub(none_hub);
+    engine.attach_adversary(par_hub);
+    engine.run_cycles(cycles);
+    gate("parallel-event/state", plain, scenarios::state_digest(net));
   }
   {
     sim::ChurnConfig churn_cfg{dn / 100, dn / 100, 3};

@@ -3,7 +3,7 @@
 // A NodeDescriptor is 8 little-endian bytes whose u64 image IS its sort key:
 // (hop_count << 32) | address (see flat_ops.hpp detail::sort_key). Every
 // per-exchange kernel — aging, buffer building, the sorted merge behind
-// merge_select_head / handle_request / handle_reply — is therefore u64 lane
+// merge_select_head / handle_request / absorb — is therefore u64 lane
 // arithmetic on contiguous arrays, which this header vectorizes:
 //   - aging is a lane-wise add of (age << 32): the addend's low 32 bits are
 //     zero, so carries can never reach the address field and the u64 add is

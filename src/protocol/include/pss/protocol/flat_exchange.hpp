@@ -4,9 +4,10 @@
 // shared by every execution surface:
 //   - CycleEngine calls them directly on the network's NodeArena with a
 //     persistent Scratch — the batched, allocation-free atomic-exchange path;
-//   - EventEngine drives the request/reply split kernels below over message
-//     slabs (pss/membership/descriptor_slab_pool.hpp) — the same Figure-1
-//     halves, decoupled in time by the asynchronous message layer;
+//   - the asynchronous drivers (EventEngine, ParallelEventEngine and the
+//     wire-level ServiceNode) reach the request/reply split kernels below
+//     through sim::ExchangeCore (pss/sim/exchange_apply.hpp) — the same
+//     Figure-1 halves, decoupled in time by a message layer;
 //   - GossipNode's handler methods call the same functions on its own slot,
 //     preserving the legacy message-level API for the service layer, the
 //     reference LegacyEventEngine and the tests.
@@ -118,8 +119,9 @@ inline void contact_failure(NodeArena& arena, NodeId node, NodeId peer,
 // step. Under asynchrony the halves run at different simulated times with a
 // message buffer in flight between them, so they are also exposed
 // separately, operating on raw fixed-stride buffers (message-pool slabs)
-// instead of Scratch vectors. Semantics, stats updates and Rng consumption
-// mirror GossipNode::handle_message / handle_reply exactly — pinned by the
+// instead of Scratch vectors; the active tail is absorb() with
+// age_incoming = 1. Semantics, stats updates and Rng consumption mirror
+// GossipNode::handle_message / handle_reply exactly — pinned by the
 // engine trace-equivalence suite in tests/event_engine_flat_test.cpp.
 
 /// Slab variant of make_active_buffer: writes the active thread's buffer
@@ -163,12 +165,14 @@ inline std::uint32_t age_write_active_buffer(FlatViewStore& store, NodeId slot,
 /// (pre-merge view plus self) into `reply_out` when one is wanted, then
 /// merges the request — aged one hop inside the merge — into the passive
 /// slot. Returns the reply entry count (0 when none was written).
+/// `passive` is the arena slot and `self` the node's address (the slot/self
+/// split of absorb; equal except in a standalone daemon).
 /// `reply_out == nullptr` skips building a reply the caller already knows
 /// will be lost; counters still mirror GossipNode::handle_message (received
 /// always, replies_sent whenever the protocol pulls), and neither the reply
 /// build nor the skip consumes Rng, so the node's stream is unaffected.
 inline std::uint32_t handle_request(NodeArena& arena, NodeId passive,
-                                    const NodeDescriptor* request,
+                                    NodeId self, const NodeDescriptor* request,
                                     std::uint32_t request_size,
                                     NodeDescriptor* reply_out,
                                     const ProtocolSpec& spec,
@@ -178,26 +182,15 @@ inline std::uint32_t handle_request(NodeArena& arena, NodeId passive,
   std::uint32_t reply_size = 0;
   if (spec.pull()) {
     if (reply_out != nullptr) {
-      reply_size = write_active_buffer(arena.views.view_of(passive), passive,
+      reply_size = write_active_buffer(arena.views.view_of(passive), self,
                                        /*push=*/true, reply_out);
     }
     ++arena.stats[passive].replies_sent;
   }
-  absorb(arena.views, passive, passive, spec, options,
+  absorb(arena.views, passive, self, spec, options,
          DescSpan{request, request_size}, arena.rngs[passive], scratch,
          /*age_incoming=*/1);
   return reply_size;
-}
-
-/// Active tail of Figure 1 over a message buffer: merges the pull reply —
-/// aged one hop inside the merge — into the active slot.
-inline void handle_reply(NodeArena& arena, NodeId active,
-                         const NodeDescriptor* reply, std::uint32_t reply_size,
-                         const ProtocolSpec& spec,
-                         const ProtocolOptions& options, Scratch& scratch) {
-  absorb(arena.views, active, active, spec, options,
-         DescSpan{reply, reply_size}, arena.rngs[active], scratch,
-         /*age_incoming=*/1);
 }
 
 /// One complete atomic exchange between two live, reachable nodes — the

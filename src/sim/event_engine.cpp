@@ -1,7 +1,6 @@
 #include "pss/sim/event_engine.hpp"
 
 #include "pss/common/check.hpp"
-#include "pss/protocol/flat_exchange.hpp"
 
 namespace pss::sim {
 
@@ -18,7 +17,9 @@ EventEngine::EventEngine(Network& network, EventEngineConfig config)
       config_(config),
       queue_(kYearsPerPeriod *
              (config.period > 0 ? config.period : 1.0)),
-      pool_(network.options().view_size + 1) {
+      pool_(network.options().view_size + 1),
+      core_(network.arena(), network.spec(), network.options(),
+            config.reply_timeout) {
   PSS_CHECK_MSG(config_.period > 0, "period must be positive");
   PSS_CHECK_MSG(config_.min_latency >= 0 &&
                     config_.min_latency <= config_.max_latency,
@@ -39,73 +40,6 @@ void EventEngine::push_event(double at, Kind kind, NodeId from, NodeId to,
   queue_.push(at, next_seq_++, e);
 }
 
-std::uint32_t EventEngine::maybe_forge_slab(NodeId sender, NodeId receiver,
-                                            DescriptorSlabPool::SlabId slab,
-                                            std::uint32_t size) {
-  if (tamper_ == nullptr || !tamper_->is_byzantine(sender)) return size;
-  NodeDescriptor* data = pool_.data(slab);
-  forged_.assign(data, data + size);
-  tamper_->forge_buffer(sender, receiver, forged_);
-  // The tamper contract caps forged buffers at view_size + 1 entries —
-  // exactly one slab (the same bound an honest push buffer satisfies).
-  PSS_CHECK_MSG(forged_.size() <= network_->options().view_size + 1,
-                "forged buffer exceeds message slab capacity");
-  std::copy(forged_.begin(), forged_.end(), data);
-  return static_cast<std::uint32_t>(forged_.size());
-}
-
-void EventEngine::send_request(NodeId from, NodeId to,
-                               std::uint64_t exchange_id, bool age_view) {
-  const bool traced = trace_ != nullptr && trace_->armed();
-  const std::uint64_t t0 = traced ? trace_clock_ns() : 0;
-  ++stats_.messages_sent;
-  Rng& rng = network_->rng();
-  if (rng.chance(config_.drop_probability)) {
-    ++stats_.messages_dropped;
-    // A dropped message never needs its payload built, but the slot's
-    // once-per-period aging still happens (it preceded the drop draw
-    // before the fusion below; aging consumes no Rng, so deferring it
-    // behind the draw is invisible).
-    if (age_view) network_->arena().views.age(from);
-    // The active thread did send; the loss is in-flight. The span still
-    // marks the request as sent so the stitcher sees the broken chain.
-    if (traced) {
-      trace_->record({TracePhase::kRequestSent, from, to, exchange_id, ticks_,
-                      t0, trace_clock_ns()});
-    }
-    return;
-  }
-  const double latency =
-      config_.min_latency +
-      rng.uniform() * (config_.max_latency - config_.min_latency);
-  const DescriptorSlabPool::SlabId slab = pool_.acquire();
-  // Fused pass: age the active slot while streaming the aged entries (and
-  // the leading {self, 0}) straight into the message slab — one touch of
-  // the slot where age + write_active_buffer paid two (the double-touch
-  // the ROADMAP charged this engine with). Byzantine wakeups keep the
-  // unfused build on the un-aged view (their aging was suppressed).
-  std::uint32_t n =
-      age_view ? flat::age_write_active_buffer(network_->arena().views, from,
-                                               from, network_->spec().push(),
-                                               pool_.data(slab))
-               : flat::write_active_buffer(network_->arena().views.view_of(from),
-                                           from, network_->spec().push(),
-                                           pool_.data(slab));
-  n = maybe_forge_slab(from, to, slab, n);
-  pool_.set_size(slab, n);
-  push_event(now_ + latency, Kind::kRequest, from, to, exchange_id, slab);
-  if (traced) {
-    trace_->record({TracePhase::kRequestSent, from, to, exchange_id, ticks_,
-                    t0, trace_clock_ns()});
-  }
-}
-
-void EventEngine::expire_pending(NodeId node) {
-  // The pull reply never arrived in time: treat as a failed contact.
-  expire_overdue(network_->arena(), node, pending_[node], now_,
-                 network_->options());
-}
-
 void EventEngine::on_wakeup(NodeId id) {
   // Re-arm the periodic timer first so a node keeps its phase forever (and
   // the rearm takes its seq before the request — the legacy event order).
@@ -114,54 +48,34 @@ void EventEngine::on_wakeup(NodeId id) {
 
   if (!network_->is_live(id)) return;
   ++stats_.wakeups;
-  flat::NodeArena& arena = network_->arena();
-  const bool traced = trace_ != nullptr && trace_->armed();
-  std::uint64_t t0 = 0;
-  if (traced) {
-    t0 = trace_clock_ns();
-    // expire_pending is about to surface this as a contact failure; mark
-    // the timeout against the exchange that never completed.
-    const PendingExchange& p = pending_[id];
-    if (p.active && p.deadline < now_) {
-      trace_->record({TracePhase::kTimeout, id, p.peer, p.exchange_id, ticks_,
-                      t0, t0});
-    }
+  const auto request = core_.on_tick(id, id, pending_[id], now_,
+                                     next_exchange_, stats_.replies_stale,
+                                     ticks_);
+  if (!request) return;
+  TraceProbe* trace = core_.armed_trace();
+  const std::uint64_t t0 = trace != nullptr ? trace_clock_ns() : 0;
+  ++stats_.messages_sent;
+  Rng& rng = network_->rng();
+  if (rng.chance(config_.drop_probability)) {
+    // A dropped message never needs its payload built.
+    ++stats_.messages_dropped;
+    core_.lose_request(id, *request);
+  } else {
+    const double latency =
+        config_.min_latency +
+        rng.uniform() * (config_.max_latency - config_.min_latency);
+    const DescriptorSlabPool::SlabId slab = pool_.acquire();
+    pool_.set_size(slab, core_.write_request(id, id, *request,
+                                             pool_.data(slab), forged_));
+    push_event(now_ + latency, Kind::kRequest, id, request->peer, request->id,
+               slab);
   }
-  expire_pending(id);
-
-  // Peer selection runs on the un-aged view so the once-per-period aging
-  // can fuse with the request-buffer build in send_request (one pass over
-  // the active slot instead of two). Legal by the argument pinned in
-  // cycle_step.hpp: a uniform +1 preserves the (hop, address) order, the
-  // class boundaries and the class sizes, so every policy picks the same
-  // address and consumes Rng identically on either side of the aging.
-  const bool age_view = tamper_ == nullptr || !tamper_->suppress_aging(id);
-  auto peer = flat::select_peer(arena.views.view_of(id),
-                                network_->spec().peer_selection,
-                                arena.rngs[id]);
-  if (!peer) {
-    if (age_view) arena.views.age(id);  // timestamp semantics, peer or not
-    if (traced) {
-      trace_->record({TracePhase::kSelect, id, kInvalidNode, 0, ticks_, t0,
-                      trace_clock_ns()});
-    }
-    return;
+  // A dropped request was still sent (the loss is in flight), so the span
+  // lets the stitcher see the broken chain.
+  if (trace != nullptr) {
+    trace->record({TracePhase::kRequestSent, id, request->peer, request->id,
+                   ticks_, t0, trace_clock_ns()});
   }
-  ++arena.stats[id].initiated;
-
-  const std::uint64_t exchange_id = next_exchange_++;
-  if (network_->spec().pull()) {
-    // Starting a new exchange supersedes any outstanding one.
-    if (open_exchange(pending_[id], exchange_id, *peer,
-                      now_ + config_.reply_timeout)) {
-      ++stats_.replies_stale;
-    }
-  }
-  if (traced) {
-    trace_->record({TracePhase::kSelect, id, *peer, exchange_id, ticks_, t0,
-                    trace_clock_ns()});
-  }
-  send_request(id, *peer, exchange_id, age_view);
 }
 
 void EventEngine::on_request(const FlatEvent& e) {
@@ -170,11 +84,6 @@ void EventEngine::on_request(const FlatEvent& e) {
     pool_.release(e.slab);
     return;
   }
-  flat::NodeArena& arena = network_->arena();
-  const bool pull = network_->spec().pull();
-  const bool traced = trace_ != nullptr && trace_->armed();
-  const std::uint64_t t0 = traced ? trace_clock_ns() : 0;
-
   // Reply dispatch (master-stream draws) decided up front so a reply that
   // will be dropped is never built. The legacy engine draws these after the
   // passive handler, but the master and per-node streams are independent,
@@ -183,7 +92,7 @@ void EventEngine::on_request(const FlatEvent& e) {
   bool deliver_reply = false;
   double latency = 0;
   DescriptorSlabPool::SlabId reply_slab = DescriptorSlabPool::kNoSlab;
-  if (pull) {
+  if (network_->spec().pull()) {
     ++stats_.messages_sent;
     Rng& rng = network_->rng();
     if (rng.chance(config_.drop_probability)) {
@@ -198,21 +107,16 @@ void EventEngine::on_request(const FlatEvent& e) {
     }
   }
 
-  NodeDescriptor* request = pool_.data(e.slab);
+  const flat::DescSpan request(pool_.data(e.slab), pool_.size(e.slab));
   NodeDescriptor* reply_out = deliver_reply ? pool_.data(reply_slab) : nullptr;
-  std::uint32_t reply_size = flat::handle_request(
-      arena, e.to, request, pool_.size(e.slab), reply_out, network_->spec(),
-      network_->options(), scratch_);
+  const std::uint32_t reply_size =
+      core_.on_request(e.to, e.to, e.from, e.exchange_id, request, reply_out,
+                       scratch_, forged_, ticks_);
   pool_.release(e.slab);
   if (deliver_reply) {
-    reply_size = maybe_forge_slab(e.to, e.from, reply_slab, reply_size);
     pool_.set_size(reply_slab, reply_size);
     push_event(now_ + latency, Kind::kReply, e.to, e.from, e.exchange_id,
                reply_slab);
-  }
-  if (traced) {
-    trace_->record({TracePhase::kMergeApply, e.to, e.from, e.exchange_id,
-                    ticks_, t0, trace_clock_ns()});
   }
 }
 
@@ -222,22 +126,15 @@ void EventEngine::on_reply(const FlatEvent& e) {
     pool_.release(e.slab);
     return;
   }
-  if (!admit_reply(pending_[e.to], e.exchange_id, now_)) {
+  if (!admit_reply(pending_[e.to], e.from, e.exchange_id, now_)) {
     ++stats_.replies_stale;
     pool_.release(e.slab);
     return;
   }
-  const bool traced = trace_ != nullptr && trace_->armed();
-  const std::uint64_t t0 = traced ? trace_clock_ns() : 0;
-  flat::handle_reply(network_->arena(), e.to, pool_.data(e.slab),
-                     pool_.size(e.slab), network_->spec(),
-                     network_->options(), scratch_);
+  core_.on_reply(e.to, e.to, e.from, e.exchange_id,
+                 {pool_.data(e.slab), pool_.size(e.slab)}, scratch_, ticks_);
   pool_.release(e.slab);
   ++stats_.replies_delivered;
-  if (traced) {
-    trace_->record({TracePhase::kReplyReceived, e.to, e.from, e.exchange_id,
-                    ticks_, t0, trace_clock_ns()});
-  }
 }
 
 void EventEngine::schedule_new_nodes() {

@@ -26,9 +26,12 @@
 //     DescriptorSlabPool instead of heap-allocated View objects — an event
 //     record is 40 trivially-copyable bytes and steady state allocates
 //     nothing;
-//   - wakeup/request/reply handling goes straight at the arena slots via
-//     the flat_exchange request/reply split kernels, bypassing the
-//     GossipNode adapter (and its View materialization) on the hot path.
+//   - the exchange itself — expiry, selection, aging, buffer builds,
+//     absorb, forge and trace spans — is sim::ExchangeCore
+//     (exchange_apply.hpp) working straight on the arena slots, bypassing
+//     the GossipNode adapter (and its View materialization) on the hot
+//     path. The engine keeps only its I/O: queue, master-Rng drop and
+//     latency draws, and message slabs.
 // The original adapter-path implementation survives as LegacyEventEngine;
 // tests/event_engine_flat_test.cpp replays the two against each other
 // (identical seeds -> identical EventEngineStats and final views), which is
@@ -109,7 +112,9 @@ class EventEngine {
   /// are untouched, so a tamper that never forges or suppresses leaves the
   /// run bit-identical to an unhooked engine. The tamper must outlive the
   /// engine.
-  void attach_adversary(ExchangeTamper& tamper) { tamper_ = &tamper; }
+  void attach_adversary(ExchangeTamper& tamper) {
+    core_.attach_adversary(tamper);
+  }
 
   /// Registers the causal-tracing hook (see TraceProbe in trace_probe.hpp):
   /// select / request-sent spans and timeout marks on the active side of
@@ -118,7 +123,7 @@ class EventEngine {
   /// u64 exchange id. Tracing reads clocks and engine-local values only,
   /// so hooked runs (armed or disarmed) stay digest-identical to the
   /// unhooked engine. The probe must outlive the engine.
-  void attach_trace(TraceProbe& trace) { trace_ = &trace; }
+  void attach_trace(TraceProbe& trace) { core_.attach_trace(trace); }
 
   // --- Introspection (tests, bench drivers) --------------------------------
 
@@ -154,19 +159,11 @@ class EventEngine {
 
   void advance_to(double until);
   void schedule_new_nodes();
-  /// Rewrites a byzantine sender's slab in place through the tamper; the
-  /// slab's entry count after forging is returned (== `size` when honest).
-  std::uint32_t maybe_forge_slab(NodeId sender, NodeId receiver,
-                                 DescriptorSlabPool::SlabId slab,
-                                 std::uint32_t size);
   void push_event(double at, Kind kind, NodeId from, NodeId to,
                   std::uint64_t exchange_id, DescriptorSlabPool::SlabId slab);
-  void send_request(NodeId from, NodeId to, std::uint64_t exchange_id,
-                    bool age_view);
   void on_wakeup(NodeId node);
   void on_request(const FlatEvent& e);
   void on_reply(const FlatEvent& e);
-  void expire_pending(NodeId node);
 
   Network* network_;
   EventEngineConfig config_;
@@ -176,18 +173,14 @@ class EventEngine {
   std::uint64_t next_exchange_ = 1;
   CalendarQueue<FlatEvent> queue_;
   DescriptorSlabPool pool_;
-  // Pull bookkeeping shared with the transport-layer ServiceNode (see
-  // exchange_apply.hpp): both drivers admit/expire replies through the
-  // same helpers, which the transport differential suite pins.
-  std::vector<PendingExchange> pending_;
+  ExchangeCore core_;                   ///< the Figure-1 exchange itself
+  std::vector<PendingExchange> pending_;  ///< per-node pull bookkeeping
   flat::Scratch scratch_;            ///< exchange working memory, reused
   std::size_t scheduled_nodes_ = 0;  ///< nodes whose wake-up loop is running
   double tick_anchor_ = 0;           ///< last explicit run_until target
   std::uint64_t ticks_ = 0;          ///< run_cycles ticks since the anchor
   std::vector<ProbeRegistration> probes_;
   Cycle probe_ticks_ = 0;            ///< lifetime tick count for cadence
-  ExchangeTamper* tamper_ = nullptr;  ///< byzantine seam; null = honest run
-  TraceProbe* trace_ = nullptr;       ///< tracing seam; null = untraced run
   std::vector<NodeDescriptor> forged_;  ///< forge staging buffer, reused
 };
 

@@ -13,8 +13,8 @@
 //     the driving thread in exact (at, seq) pop order — timer re-arms,
 //     liveness checks, master-Rng draws, slab acquisition, event pushes,
 //     pull admission (pending table), engine counters;
-//   W-part (worker): the per-node kernel work — handle_request /
-//     handle_reply, i.e. the merge/select absorb into one node's slot with
+//   W-part (worker): the per-node kernel work — ExchangeCore's on_request /
+//     on_reply, i.e. the merge/select absorb into one node's slot with
 //     that node's own Rng stream — deferred into a batch and executed in
 //     parallel after the window's S-parts finished.
 //
@@ -105,7 +105,9 @@ class ParallelEventEngine {
   /// worker lanes, so is_byzantine / forge_buffer must be safe to call
   /// concurrently (pure functions of their arguments in practice). Wakeup
   /// hooks (suppress_aging, request forging) stay on the sequencer.
-  void attach_adversary(ExchangeTamper& tamper) { tamper_ = &tamper; }
+  void attach_adversary(ExchangeTamper& tamper) {
+    core_.attach_adversary(tamper);
+  }
 
   /// Same seam as EventEngine::attach_trace, with the parallel-engine
   /// addendum: select / request-sent / timeout spans fire on the
@@ -115,7 +117,7 @@ class ParallelEventEngine {
   /// implementations are). Tracing never mutates simulation state, so the
   /// engine's bit-identity contract vs the sequential EventEngine holds
   /// hooked, disarmed or armed, at any thread count.
-  void attach_trace(TraceProbe& trace) { trace_ = &trace; }
+  void attach_trace(TraceProbe& trace) { core_.attach_trace(trace); }
 
   // --- Introspection (tests, bench drivers) --------------------------------
 
@@ -184,11 +186,12 @@ class ParallelEventEngine {
   /// consumed slabs in batch order and clears the batch.
   void flush_batch();
   void run_task(const SlotTask& t, LaneState& lane);
-  std::uint32_t forge_slab(NodeId sender, NodeId receiver,
-                           DescriptorSlabPool::SlabId slab, std::uint32_t size,
-                           std::vector<NodeDescriptor>& staging);
 
-  bool claimed(NodeId node) const { return claim_[node] == claim_gen_; }
+  /// Messages may target addresses no node holds (forged descriptors);
+  /// those fail the liveness gate, so they are never claimed.
+  bool claimed(NodeId node) const {
+    return node < claim_.size() && claim_[node] == claim_gen_;
+  }
   void claim(NodeId node) { claim_[node] = claim_gen_; }
 
   Network* network_;
@@ -200,14 +203,13 @@ class ParallelEventEngine {
   std::uint64_t next_exchange_ = 1;
   CalendarQueue<FlatEvent> queue_;
   DescriptorSlabPool pool_;
+  ExchangeCore core_;  ///< the Figure-1 exchange, shared by all lanes
   std::vector<PendingExchange> pending_;
   std::size_t scheduled_nodes_ = 0;
   double tick_anchor_ = 0;
   std::uint64_t ticks_ = 0;
   std::vector<ProbeRegistration> probes_;
   Cycle probe_ticks_ = 0;
-  ExchangeTamper* tamper_ = nullptr;
-  TraceProbe* trace_ = nullptr;  ///< tracing seam; null = untraced run
 
   ThreadPool pool_threads_;
   std::vector<LaneState> lanes_;       ///< one per pool lane

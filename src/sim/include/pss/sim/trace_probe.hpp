@@ -45,9 +45,9 @@ namespace pss::sim {
 /// Exchange phases, in causal order. Values are the wire encoding of the
 /// PSSTRACE1 dump's `kind` byte — append-only, never renumber.
 enum class TracePhase : std::uint8_t {
-  kSelect = 0,         ///< active: expire + age + peer selection
+  kSelect = 0,         ///< active: expire + peer selection
   kMergeApply = 1,     ///< passive: absorb request, build reply
-  kRequestSent = 2,    ///< active: request buffer built and handed off
+  kRequestSent = 2,    ///< active: request built (aging fused), handed off
   kReplyReceived = 3,  ///< active: admitted reply absorbed
   kTimeout = 4,        ///< active: reply window closed unanswered
 };

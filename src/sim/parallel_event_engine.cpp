@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "pss/common/check.hpp"
-#include "pss/protocol/flat_exchange.hpp"
 
 namespace pss::sim {
 
@@ -23,6 +22,8 @@ ParallelEventEngine::ParallelEventEngine(Network& network,
       config_(config),
       queue_(kYearsPerPeriod * (config.period > 0 ? config.period : 1.0)),
       pool_(network.options().view_size + 1),
+      core_(network.arena(), network.spec(), network.options(),
+            config.reply_timeout),
       pool_threads_(threads) {
   PSS_CHECK_MSG(config_.period > 0, "period must be positive");
   PSS_CHECK_MSG(config_.min_latency >= 0 &&
@@ -46,99 +47,41 @@ void ParallelEventEngine::push_event(double at, Kind kind, NodeId from,
   queue_.push(at, next_seq_++, e);
 }
 
-std::uint32_t ParallelEventEngine::forge_slab(
-    NodeId sender, NodeId receiver, DescriptorSlabPool::SlabId slab,
-    std::uint32_t size, std::vector<NodeDescriptor>& staging) {
-  if (tamper_ == nullptr || !tamper_->is_byzantine(sender)) return size;
-  NodeDescriptor* data = pool_.data(slab);
-  staging.assign(data, data + size);
-  tamper_->forge_buffer(sender, receiver, staging);
-  PSS_CHECK_MSG(staging.size() <= network_->options().view_size + 1,
-                "forged buffer exceeds message slab capacity");
-  std::copy(staging.begin(), staging.end(), data);
-  return static_cast<std::uint32_t>(staging.size());
-}
-
 void ParallelEventEngine::seq_wakeup(NodeId id) {
   // Sequencer-only handler: the wakeup reads and writes its own node's
   // slot, which is safe ahead of the window's W-phase (and the claim rule
-  // closed the window if a deferred task already targets this node).
-  // Mirrors EventEngine::on_wakeup + send_request exactly — same statement
-  // order, same Rng consumption.
+  // closed the window if a deferred task already targets this node). Same
+  // master-Rng, slab and event order as EventEngine::on_wakeup.
   push_event(now_ + config_.period, Kind::kWakeup, kInvalidNode, id, 0,
              DescriptorSlabPool::kNoSlab);
 
   if (!network_->is_live(id)) return;
   ++stats_.wakeups;
-  flat::NodeArena& arena = network_->arena();
-  const bool traced = trace_ != nullptr && trace_->armed();
-  std::uint64_t t0 = 0;
-  if (traced) {
-    t0 = trace_clock_ns();
-    const PendingExchange& p = pending_[id];
-    if (p.active && p.deadline < now_) {
-      trace_->record({TracePhase::kTimeout, id, p.peer, p.exchange_id, ticks_,
-                      t0, t0});
-    }
-  }
-  expire_overdue(arena, id, pending_[id], now_, network_->options());
-
-  const bool age_view = tamper_ == nullptr || !tamper_->suppress_aging(id);
-  auto peer = flat::select_peer(arena.views.view_of(id),
-                                network_->spec().peer_selection,
-                                arena.rngs[id]);
-  if (!peer) {
-    if (age_view) arena.views.age(id);
-    if (traced) {
-      trace_->record({TracePhase::kSelect, id, kInvalidNode, 0, ticks_, t0,
-                      trace_clock_ns()});
-    }
-    return;
-  }
-  ++arena.stats[id].initiated;
-
-  const std::uint64_t exchange_id = next_exchange_++;
-  if (network_->spec().pull()) {
-    if (open_exchange(pending_[id], exchange_id, *peer,
-                      now_ + config_.reply_timeout)) {
-      ++stats_.replies_stale;
-    }
-  }
-  if (traced) {
-    const std::uint64_t t1 = trace_clock_ns();
-    trace_->record(
-        {TracePhase::kSelect, id, *peer, exchange_id, ticks_, t0, t1});
-    t0 = t1;
-  }
-
+  const auto request = core_.on_tick(id, id, pending_[id], now_,
+                                     next_exchange_, stats_.replies_stale,
+                                     ticks_);
+  if (!request) return;
+  TraceProbe* trace = core_.armed_trace();
+  const std::uint64_t t0 = trace != nullptr ? trace_clock_ns() : 0;
   ++stats_.messages_sent;
   Rng& rng = network_->rng();
   if (rng.chance(config_.drop_probability)) {
     ++stats_.messages_dropped;
-    if (age_view) arena.views.age(id);
-    if (traced) {
-      trace_->record({TracePhase::kRequestSent, id, *peer, exchange_id,
-                      ticks_, t0, trace_clock_ns()});
-    }
-    return;
+    core_.lose_request(id, *request);
+  } else {
+    const double latency =
+        config_.min_latency +
+        rng.uniform() * (config_.max_latency - config_.min_latency);
+    const DescriptorSlabPool::SlabId slab = pool_.acquire();
+    pool_.set_size(slab, core_.write_request(id, id, *request,
+                                             pool_.data(slab),
+                                             lanes_[0].forged));
+    push_event(now_ + latency, Kind::kRequest, id, request->peer, request->id,
+               slab);
   }
-  const double latency =
-      config_.min_latency +
-      rng.uniform() * (config_.max_latency - config_.min_latency);
-  const DescriptorSlabPool::SlabId slab = pool_.acquire();
-  std::uint32_t n =
-      age_view ? flat::age_write_active_buffer(arena.views, id, id,
-                                               network_->spec().push(),
-                                               pool_.data(slab))
-               : flat::write_active_buffer(arena.views.view_of(id), id,
-                                           network_->spec().push(),
-                                           pool_.data(slab));
-  n = forge_slab(id, *peer, slab, n, lanes_[0].forged);
-  pool_.set_size(slab, n);
-  push_event(now_ + latency, Kind::kRequest, id, *peer, exchange_id, slab);
-  if (traced) {
-    trace_->record({TracePhase::kRequestSent, id, *peer, exchange_id, ticks_,
-                    t0, trace_clock_ns()});
+  if (trace != nullptr) {
+    trace->record({TracePhase::kRequestSent, id, request->peer, request->id,
+                   ticks_, t0, trace_clock_ns()});
   }
 }
 
@@ -193,7 +136,7 @@ void ParallelEventEngine::seq_reply(const FlatEvent& e) {
     pool_.release(e.slab);
     return;
   }
-  if (!admit_reply(pending_[e.to], e.exchange_id, now_)) {
+  if (!admit_reply(pending_[e.to], e.from, e.exchange_id, now_)) {
     ++stats_.replies_stale;
     pool_.release(e.slab);
     return;
@@ -211,37 +154,23 @@ void ParallelEventEngine::seq_reply(const FlatEvent& e) {
 }
 
 void ParallelEventEngine::run_task(const SlotTask& t, LaneState& lane) {
-  flat::NodeArena& arena = network_->arena();
-  // May run on any lane; record() is thread-safe by the probe contract.
-  // ticks_ is stable while lanes run (mutated only between windows).
-  const bool traced = trace_ != nullptr && trace_->armed();
-  const std::uint64_t t0 = traced ? trace_clock_ns() : 0;
-  if (t.kind == static_cast<std::uint32_t>(Kind::kRequest)) {
-    NodeDescriptor* request = pool_.data(t.slab);
-    NodeDescriptor* reply_out =
-        t.reply_slab != DescriptorSlabPool::kNoSlab ? pool_.data(t.reply_slab)
-                                                    : nullptr;
-    std::uint32_t reply_size = flat::handle_request(
-        arena, t.node, request, t.size, reply_out, network_->spec(),
-        network_->options(), lane.scratch);
-    if (t.reply_slab != DescriptorSlabPool::kNoSlab) {
-      reply_size =
-          forge_slab(t.node, t.peer, t.reply_slab, reply_size, lane.forged);
-      // Distinct slabs own distinct size-table entries, so concurrent
-      // set_size calls never share a location (no acquire can run here).
-      pool_.set_size(t.reply_slab, reply_size);
-    }
-  } else {
-    flat::handle_reply(arena, t.node, pool_.data(t.slab), t.size,
-                       network_->spec(), network_->options(), lane.scratch);
+  // May run on any lane: the core touches only t.node's slot and the
+  // task's slabs, and records spans through the thread-safe probe. ticks_
+  // is stable while lanes run (mutated only between windows).
+  const flat::DescSpan payload(pool_.data(t.slab), t.size);
+  if (t.kind == static_cast<std::uint32_t>(Kind::kReply)) {
+    core_.on_reply(t.node, t.node, t.peer, t.exchange_id, payload,
+                   lane.scratch, ticks_);
+    return;
   }
-  if (traced) {
-    const bool request = t.kind == static_cast<std::uint32_t>(Kind::kRequest);
-    trace_->record({request ? TracePhase::kMergeApply
-                            : TracePhase::kReplyReceived,
-                    t.node, t.peer, t.exchange_id, ticks_, t0,
-                    trace_clock_ns()});
-  }
+  const bool reply = t.reply_slab != DescriptorSlabPool::kNoSlab;
+  const std::uint32_t reply_size = core_.on_request(
+      t.node, t.node, t.peer, t.exchange_id, payload,
+      reply ? pool_.data(t.reply_slab) : nullptr, lane.scratch, lane.forged,
+      ticks_);
+  // Distinct slabs own distinct size-table entries, so concurrent set_size
+  // calls never share a location (no acquire can run here).
+  if (reply) pool_.set_size(t.reply_slab, reply_size);
 }
 
 void ParallelEventEngine::flush_batch() {

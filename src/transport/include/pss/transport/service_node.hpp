@@ -5,11 +5,10 @@
 // timer-driven request emitter (on_tick), the passive thread a poll-loop
 // frame handler (on_frame / on_datagram).
 //
-// ServiceNode is a statement-level mirror of EventEngine's wakeup /
-// request / reply handlers over the same flat_exchange kernels and the
-// same sim::PendingExchange pull bookkeeping, with the in-flight message
-// slab replaced by an encoded wire frame. That mirroring is a tested
-// contract, not an aspiration: tests/transport_test.cpp proves a
+// ServiceNode drives the same sim::ExchangeCore as EventEngine
+// (exchange_apply.hpp), which owns the whole exchange; the node keeps only
+// its I/O, with the engine's in-flight message slab replaced by an encoded
+// wire frame and a Transport. tests/transport_test.cpp proves a
 // LoopbackTransport run digest-identical to an EventEngine run of the
 // same seed, so every future wire-format or driver change stays
 // replay-testable against the simulation reference.
@@ -19,7 +18,7 @@
 //     runs a whole sim::Network's arena this way, slot == self);
 //   * standalone — the node owns a private single-slot arena (the UDP
 //     daemon/client processes, slot 0, self = the configured address;
-//     this is why absorb()'s slot/self split exists).
+//     this is why the core's slot/self split exists).
 //
 // The node's PeerSamplingService API surface is exposed through
 // gossip_node(): construct a PeerSamplingService over it to get
@@ -104,11 +103,11 @@ class ServiceNode {
   /// one causal request->reply chain. Same write-only contract as
   /// attach_sink: tracing never alters protocol behaviour (digest-pinned
   /// by the loopback differential in tests/trace_test.cpp).
-  void attach_trace(sim::TraceProbe& trace) { trace_ = &trace; }
+  void attach_trace(sim::TraceProbe& trace) { core_.attach_trace(trace); }
 
   /// Active thread firing at time `now` (caller-driven: a wall-clock timer
   /// in the daemon, the LoopbackDriver's event loop in tests). Expires the
-  /// overdue pull, ages the view, selects a peer and emits one request.
+  /// overdue pull, selects a peer, ages the view and emits one request.
   void on_tick(double now);
 
   /// Passive thread: applies one decoded frame. The caller has already
@@ -121,10 +120,10 @@ class ServiceNode {
   WireError on_datagram(std::span<const std::byte> bytes, double now);
 
   NodeId self() const { return self_; }
-  const ProtocolSpec& spec() const { return spec_; }
-  flat::DescSpan view() const { return arena_->views.view_of(slot_); }
+  const ProtocolSpec& spec() const { return core_.spec(); }
+  flat::DescSpan view() const { return core_.arena().views.view_of(slot_); }
   const ServiceNodeStats& stats() const { return stats_; }
-  const NodeStats& node_stats() const { return arena_->stats[slot_]; }
+  const NodeStats& node_stats() const { return core_.arena().stats[slot_]; }
   const sim::PendingExchange& pending() const { return pending_; }
   Cycle tick() const { return tick_; }
 
@@ -134,17 +133,14 @@ class ServiceNode {
 
  private:
   void record_tick(double now);
-  void send_request(NodeId peer, std::uint64_t exchange_id);
+  void send_request(const sim::ExchangeRequest& request);
   void handle_request_frame(const ParsedFrame& frame);
   void handle_reply_frame(const ParsedFrame& frame, double now);
 
   std::unique_ptr<flat::NodeArena> owned_;  ///< standalone mode backing
-  flat::NodeArena* arena_;
   NodeId slot_;
   NodeId self_;
-  ProtocolSpec spec_;
-  ProtocolOptions options_;
-  ServiceNodeConfig config_;
+  sim::ExchangeCore core_;  ///< the exchange, over owned_ or a shared arena
   Transport* transport_;
   WireCodec codec_;
   GossipNode gossip_node_;
@@ -153,7 +149,6 @@ class ServiceNode {
   Cycle tick_ = 0;
   ServiceNodeStats stats_;
   obs::MetricSink* sink_ = nullptr;
-  sim::TraceProbe* trace_ = nullptr;  ///< tracing seam; null = untraced
 };
 
 }  // namespace pss::transport

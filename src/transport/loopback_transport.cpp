@@ -19,7 +19,7 @@ LoopbackTransport::LoopbackTransport(LoopbackConfig config, Rng& rng)
 
 bool LoopbackTransport::send(NodeId to, std::span<const std::byte> frame) {
   ++stats_.frames_sent;
-  // Draw order mirrors EventEngine::send_request exactly: the loss draw
+  // Draw order mirrors EventEngine::on_wakeup exactly: the loss draw
   // first (skipped entirely at p = 0 by Rng::chance), then one uniform for
   // the delay of every non-dropped frame, even when min == max.
   if (rng_->chance(config_.loss_probability)) {

@@ -18,6 +18,7 @@ namespace {
 struct Workspace {
   flat::Scratch scratch;
   std::vector<std::byte> bytes;  ///< encoded frame; send() copies it out
+  std::vector<NodeDescriptor> forged;  ///< core's forge staging (no tamper)
 };
 
 Workspace& workspace(std::size_t view_size) {
@@ -38,12 +39,9 @@ Workspace& workspace(std::size_t view_size) {
 ServiceNode::ServiceNode(flat::NodeArena& arena, NodeId slot, NodeId self,
                          ProtocolSpec spec, ProtocolOptions options,
                          Transport& transport, ServiceNodeConfig config)
-    : arena_(&arena),
-      slot_(slot),
+    : slot_(slot),
       self_(self),
-      spec_(spec),
-      options_(options),
-      config_(config),
+      core_(arena, spec, options, config.reply_timeout),
       transport_(&transport),
       codec_(options.view_size),
       gossip_node_(self, spec, options, &arena, slot) {
@@ -56,12 +54,9 @@ ServiceNode::ServiceNode(NodeId self, ProtocolSpec spec,
                          ProtocolOptions options, Rng rng, Transport& transport,
                          ServiceNodeConfig config)
     : owned_(std::make_unique<flat::NodeArena>(options.view_size)),
-      arena_(owned_.get()),
       slot_(owned_->add_node(rng)),
       self_(self),
-      spec_(spec),
-      options_(options),
-      config_(config),
+      core_(*owned_, spec, options, config.reply_timeout),
       transport_(&transport),
       codec_(options.view_size),
       gossip_node_(self, spec, options, owned_.get(), slot_) {
@@ -93,70 +88,35 @@ void ServiceNode::record_tick(double now) {
 void ServiceNode::on_tick(double now) {
   ++stats_.wakeups;
   ++tick_;
-  const bool traced = trace_ != nullptr && trace_->armed();
-  std::uint64_t t0 = 0;
-  if (traced) {
-    t0 = sim::trace_clock_ns();
-    // expire_overdue is about to surface this as a contact failure; mark
-    // the timeout against the exchange whose reply never came.
-    if (pending_.active && pending_.deadline < now) {
-      trace_->record({sim::TracePhase::kTimeout, self_, pending_.peer,
-                      pending_.exchange_id, tick_, t0, t0});
-    }
+  // The timer rearm belongs to the caller's event loop.
+  if (const auto request = core_.on_tick(slot_, self_, pending_, now,
+                                         next_exchange_, stats_.replies_stale,
+                                         tick_)) {
+    send_request(*request);
   }
-  // Statement-level mirror of EventEngine::on_wakeup (minus the timer
-  // rearm, which belongs to the caller's event loop): expire the overdue
-  // pull, age once per period, select, then emit.
-  sim::expire_overdue(*arena_, slot_, pending_, now, options_);
-  arena_->views.age(slot_);
-  auto peer = flat::select_peer(arena_->views.view_of(slot_),
-                                spec_.peer_selection, arena_->rngs[slot_]);
-  if (!peer) {
-    if (traced) {
-      trace_->record({sim::TracePhase::kSelect, self_, kInvalidNode, 0, tick_,
-                      t0, sim::trace_clock_ns()});
-    }
-    record_tick(now);
-    return;
-  }
-  ++arena_->stats[slot_].initiated;
-
-  const std::uint64_t exchange_id = next_exchange_++;
-  if (spec_.pull()) {
-    if (sim::open_exchange(pending_, exchange_id, *peer,
-                           now + config_.reply_timeout)) {
-      ++stats_.replies_stale;
-    }
-  }
-  if (traced) {
-    trace_->record({sim::TracePhase::kSelect, self_, *peer, exchange_id,
-                    tick_, t0, sim::trace_clock_ns()});
-  }
-  send_request(*peer, exchange_id);
   record_tick(now);
 }
 
-void ServiceNode::send_request(NodeId peer, std::uint64_t exchange_id) {
-  const bool traced = trace_ != nullptr && trace_->armed();
-  const std::uint64_t t0 = traced ? sim::trace_clock_ns() : 0;
-  Workspace& ws = workspace(options_.view_size);
-  const std::uint32_t n = flat::write_active_buffer(
-      arena_->views.view_of(slot_), self_, spec_.push(),
-      ws.scratch.buffer.data());
+void ServiceNode::send_request(const sim::ExchangeRequest& request) {
+  sim::TraceProbe* trace = core_.armed_trace();
+  const std::uint64_t t0 = trace != nullptr ? sim::trace_clock_ns() : 0;
+  Workspace& ws = workspace(core_.options().view_size);
+  NodeDescriptor* buffer = ws.scratch.buffer.data();
   WireFrame frame;
   frame.type = FrameType::kRequest;
-  frame.spec = spec_;
+  frame.spec = core_.spec();
   frame.from = self_;
-  frame.to = peer;
+  frame.to = request.peer;
   frame.tick = tick_;
-  frame.exchange_id = exchange_id;
-  frame.entries = flat::DescSpan(ws.scratch.buffer.data(), n);
+  frame.exchange_id = request.id;
+  frame.entries = flat::DescSpan(
+      buffer, core_.write_request(slot_, self_, request, buffer, ws.forged));
   codec_.encode(frame, ws.bytes);
   ++stats_.requests_sent;
-  transport_->send(peer, ws.bytes);
-  if (traced) {
-    trace_->record({sim::TracePhase::kRequestSent, self_, peer, exchange_id,
-                    tick_, t0, sim::trace_clock_ns()});
+  transport_->send(request.peer, ws.bytes);
+  if (trace != nullptr) {
+    trace->record({sim::TracePhase::kRequestSent, self_, request.peer,
+                   request.id, tick_, t0, sim::trace_clock_ns()});
   }
 }
 
@@ -165,7 +125,7 @@ void ServiceNode::on_frame(const ParsedFrame& frame, double now) {
     ++stats_.misaddressed;
     return;
   }
-  if (frame.spec != spec_) {
+  if (frame.spec != core_.spec()) {
     ++stats_.protocol_mismatches;
     return;
   }
@@ -188,55 +148,33 @@ WireError ServiceNode::on_datagram(std::span<const std::byte> bytes,
 }
 
 void ServiceNode::handle_request_frame(const ParsedFrame& frame) {
-  const bool traced = trace_ != nullptr && trace_->armed();
-  const std::uint64_t t0 = traced ? sim::trace_clock_ns() : 0;
-  // flat::handle_request with the slot/self split (the kernels' passive
-  // half assumes slot == self; a standalone daemon's slot is 0): counters,
-  // pre-merge reply build and in-merge aging in the exact kernel order.
-  Workspace& ws = workspace(options_.view_size);
-  ++arena_->stats[slot_].received;
-  std::uint32_t reply_size = 0;
-  if (spec_.pull()) {
-    reply_size = flat::write_active_buffer(arena_->views.view_of(slot_), self_,
-                                           /*push=*/true,
-                                           ws.scratch.reply.data());
-    ++arena_->stats[slot_].replies_sent;
-  }
-  flat::absorb(arena_->views, slot_, self_, spec_, options_, frame.entries,
-               arena_->rngs[slot_], ws.scratch, /*age_incoming=*/1);
-  if (spec_.pull()) {
-    WireFrame reply;
-    reply.type = FrameType::kReply;
-    reply.spec = spec_;
-    reply.from = self_;
-    reply.to = frame.from;
-    reply.tick = tick_;
-    reply.exchange_id = frame.exchange_id;
-    reply.entries = flat::DescSpan(ws.scratch.reply.data(), reply_size);
-    codec_.encode(reply, ws.bytes);
-    transport_->send(frame.from, ws.bytes);
-  }
-  if (traced) {
-    trace_->record({sim::TracePhase::kMergeApply, self_, frame.from,
-                    frame.exchange_id, tick_, t0, sim::trace_clock_ns()});
-  }
+  Workspace& ws = workspace(core_.options().view_size);
+  const bool pull = core_.spec().pull();
+  NodeDescriptor* reply_out = pull ? ws.scratch.reply.data() : nullptr;
+  const std::uint32_t reply_size =
+      core_.on_request(slot_, self_, frame.from, frame.exchange_id,
+                       frame.entries, reply_out, ws.scratch, ws.forged, tick_);
+  if (!pull) return;
+  WireFrame reply;
+  reply.type = FrameType::kReply;
+  reply.spec = core_.spec();
+  reply.from = self_;
+  reply.to = frame.from;
+  reply.tick = tick_;
+  reply.exchange_id = frame.exchange_id;
+  reply.entries = flat::DescSpan(reply_out, reply_size);
+  codec_.encode(reply, ws.bytes);
+  transport_->send(frame.from, ws.bytes);
 }
 
 void ServiceNode::handle_reply_frame(const ParsedFrame& frame, double now) {
-  if (!sim::admit_reply(pending_, frame.exchange_id, now)) {
+  if (!sim::admit_reply(pending_, frame.from, frame.exchange_id, now)) {
     ++stats_.replies_stale;
     return;
   }
-  const bool traced = trace_ != nullptr && trace_->armed();
-  const std::uint64_t t0 = traced ? sim::trace_clock_ns() : 0;
-  flat::absorb(arena_->views, slot_, self_, spec_, options_, frame.entries,
-               arena_->rngs[slot_], workspace(options_.view_size).scratch,
-               /*age_incoming=*/1);
+  core_.on_reply(slot_, self_, frame.from, frame.exchange_id, frame.entries,
+                 workspace(core_.options().view_size).scratch, tick_);
   ++stats_.replies_delivered;
-  if (traced) {
-    trace_->record({sim::TracePhase::kReplyReceived, self_, frame.from,
-                    frame.exchange_id, tick_, t0, sim::trace_clock_ns()});
-  }
 }
 
 }  // namespace pss::transport

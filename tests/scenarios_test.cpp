@@ -35,6 +35,7 @@
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/network.hpp"
 #include "pss/sim/parallel_cycle_engine.hpp"
+#include "pss/sim/parallel_event_engine.hpp"
 
 namespace pss::scenarios {
 namespace {
@@ -219,6 +220,50 @@ TEST(AdversaryHookParallel, HookedDeterministicMatchesHookedSequential) {
       EXPECT_EQ(seq_digest, state_digest(par_net))
           << (forgery ? "forgery" : "hub") << " threads=" << threads;
       EXPECT_EQ(seq_adv.forged_messages(), par_adv.forged_messages());
+    }
+  }
+}
+
+TEST(AdversaryHookParallel, EventEnginesMatchPinnedDigests) {
+  // Both event engines forge through one exchange core, so comparing them
+  // with each other cannot see a change to that core: pin absolute digests
+  // and forge counts instead, with and without message loss. Bump these
+  // ONLY for an intentional semantic change, and say so in the commit.
+  struct Golden {
+    double drop;
+    bool forgery;
+    std::uint64_t digest;
+    std::uint64_t forged;
+  };
+  const Golden golden[] = {
+      {0.0, false, 0xfe70b5741c57180fULL, 915},
+      {0.0, true, 0xc3a68d381b800c7aULL, 446},
+      {0.1, false, 0x362bd4c28850e105ULL, 715},
+      {0.1, true, 0x918603442b221979ULL, 409},
+  };
+  for (const Golden& g : golden) {
+    const AdversaryConfig config =
+        g.forgery ? forgery_config(20, kN) : hub_config(20);
+    sim::EventEngineConfig ecfg;
+    ecfg.drop_probability = g.drop;
+    for (const unsigned lanes : {0u, 2u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (g.forgery ? "forgery" : "hub") << " drop=" << g.drop
+                   << (lanes == 0 ? " EventEngine" : " lanes=") << lanes);
+      sim::Network net = make_net();
+      AdversaryModel adversary(config);
+      if (lanes == 0) {
+        sim::EventEngine engine(net, ecfg);
+        engine.attach_adversary(adversary);
+        engine.run_cycles(kCycles);
+      } else {
+        sim::ParallelEventEngine engine(net, ecfg, lanes);
+        engine.attach_adversary(adversary);
+        engine.run_cycles(kCycles);
+      }
+      const std::uint64_t digest = state_digest(net);
+      EXPECT_EQ(digest, g.digest) << "actual 0x" << std::hex << digest;
+      EXPECT_EQ(adversary.forged_messages(), g.forged);
     }
   }
 }

@@ -17,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -420,6 +421,61 @@ TEST(TraceProbeParallel, ParallelEventEngineUnperturbed) {
       if (probe != nullptr) engine.attach_trace(*probe);
       engine.run_cycles(10);
     });
+  }
+}
+
+TEST(TraceProbeParallel, SpanCountsMatchAcrossAsyncDrivers) {
+  // The three asynchronous drivers share one exchange core, so every phase
+  // must be recorded the same number of times by each. Loss and a latency
+  // beyond the reply timeout make timeouts and stale replies occur.
+  sim::EventEngineConfig config;
+  config.max_latency = 0.6;
+  config.drop_probability = 0.15;
+  using Counts = std::array<std::uint64_t, sim::kTracePhaseCount>;
+  for (const ProtocolSpec& spec :
+       {ProtocolSpec::newscast(), ProtocolSpec::lpbcast()}) {
+    SCOPED_TRACE(spec.name());
+    auto run = [&](auto drive) {
+      sim::Network net =
+          sim::bootstrap::make_random(spec, ProtocolOptions{10, false}, 200, 7);
+      obs::Profiler profiler;
+      profiler.set_armed(true);
+      drive(net, profiler);
+      Counts counts{};
+      for (std::size_t p = 0; p < sim::kTracePhaseCount; ++p) {
+        counts[p] = profiler.count(static_cast<TracePhase>(p));
+      }
+      return counts;
+    };
+    const Counts event = run([&](sim::Network& net, sim::TraceProbe& probe) {
+      sim::EventEngine engine(net, config);
+      engine.attach_trace(probe);
+      engine.run_cycles(15);
+    });
+    const Counts parallel = run([&](sim::Network& net,
+                                    sim::TraceProbe& probe) {
+      sim::ParallelEventEngine engine(net, config, 3);
+      engine.attach_trace(probe);
+      engine.run_cycles(15);
+    });
+    const Counts loopback = run([&](sim::Network& net,
+                                    sim::TraceProbe& probe) {
+      transport::LoopbackTransport bus(
+          transport::LoopbackConfig{config.min_latency, config.max_latency,
+                                    config.drop_probability},
+          net.rng());
+      transport::LoopbackDriver driver(
+          net, bus, {config.period, config.reply_timeout});
+      driver.attach_trace(probe);
+      driver.run_cycles(15);
+    });
+    EXPECT_EQ(event, parallel);
+    EXPECT_EQ(event, loopback);
+    if (spec == ProtocolSpec::newscast()) {
+      // select, merge_apply, request_sent, reply_received, timeout: the
+      // pull protocol times out and hears stale replies at this latency.
+      EXPECT_EQ(event, (Counts{3000, 2503, 3000, 727, 2108}));
+    }
   }
 }
 

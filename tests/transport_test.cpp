@@ -372,8 +372,59 @@ TEST(ServiceNodeUnit, PeerSamplingServiceRunsOverTransportView) {
     }
   }
   EXPECT_GT(a.stats().replies_delivered + b.stats().replies_delivered, 0u);
+  // Both standalone nodes run slot 0 of their own arena: the passive half
+  // must drop each node's wire address, never its slot index.
+  for (const ServiceNode* node : {&a, &b}) {
+    for (const NodeDescriptor& d : node->view()) {
+      EXPECT_NE(d.address, 0u) << "slot index leaked into node "
+                               << node->self();
+      EXPECT_NE(d.address, node->self()) << "self-entry";
+    }
+  }
   const NodeId peer = service.get_peer();
   EXPECT_EQ(peer, 2u);  // the only other member
+}
+
+TEST(ServiceNodeUnit, ReplyFromUnaskedPeerIsStale) {
+  // Reply admission is bound to the peer the pull was sent to: a frame
+  // that guesses the live exchange id but comes from anyone else is stale.
+  Rng bus_rng(0x5E2F0009);
+  LoopbackTransport bus({}, bus_rng);
+  ServiceNode node(/*self=*/0, ProtocolSpec::newscast(), ProtocolOptions{},
+                   Rng(0x5E2F000A), bus);
+  const std::vector<NodeId> contacts = {1, 2, 3, 4};
+  node.init(contacts);
+  node.on_tick(0.0);
+  ASSERT_TRUE(node.pending().active);
+  const NodeId asked = node.pending().peer;
+
+  ParsedFrame reply;
+  reply.type = FrameType::kReply;
+  reply.spec = ProtocolSpec::newscast();
+  reply.from = asked == 1 ? 2 : 1;  // a contact, but not the one asked
+  reply.to = 0;
+  reply.exchange_id = node.pending().exchange_id;
+  const std::vector<NodeDescriptor> entries = {{77, 0}};
+  reply.entries = flat::DescSpan(entries);
+  auto holds_77 = [&] {
+    const auto view = node.view();
+    return std::any_of(view.begin(), view.end(), [](const NodeDescriptor& d) {
+      return d.address == 77;
+    });
+  };
+
+  node.on_frame(reply, 0.1);
+  EXPECT_EQ(node.stats().replies_stale, 1u);
+  EXPECT_EQ(node.stats().replies_delivered, 0u);
+  EXPECT_FALSE(holds_77());
+  EXPECT_TRUE(node.pending().active);
+
+  reply.from = asked;
+  node.on_frame(reply, 0.2);
+  EXPECT_EQ(node.stats().replies_stale, 1u);
+  EXPECT_EQ(node.stats().replies_delivered, 1u);
+  EXPECT_TRUE(holds_77());
+  EXPECT_FALSE(node.pending().active);
 }
 
 TEST(LoopbackTransport, DeliversInAtSeqOrder) {
