@@ -1,11 +1,11 @@
 // Thread-scaling driver for the sharded parallel cycle engine.
 //
 // For each network size it records the sequential CycleEngine baseline,
-// then ParallelCycleEngine runs across a thread ladder in both policies
-// (Deterministic — bit-identical to the baseline, verified in-run by a
-// state digest — and Relaxed), appending machine-readable results to
-// BENCH_parallel.json. Every run stands up an identical freshly-seeded
-// network, so digests and throughputs are directly comparable.
+// then ParallelCycleEngine runs across a thread ladder — each bit-identical
+// to the baseline, verified in-run by a state digest — and writes
+// machine-readable results to BENCH_parallel.json. Every run stands up an
+// identical freshly-seeded network, so digests and throughputs are directly
+// comparable.
 //
 // Knobs (see docs/PERFORMANCE.md):
 //   PSS_PAR_NS      comma-separated network sizes     (default 1000000)
@@ -79,7 +79,7 @@ std::vector<std::size_t> parse_list(const std::string& text,
 using pss::scenarios::state_digest;
 
 struct RunResult {
-  std::string mode;  // "sequential" | "deterministic" | "relaxed"
+  std::string mode;  // "sequential" | "deterministic"
   std::size_t n = 0;
   unsigned threads = 1;
   double run_seconds = 0;
@@ -142,49 +142,42 @@ int main() {
                 base.exchanges_per_second);
     results.push_back(base);
 
-    for (const char* mode : {"deterministic", "relaxed"}) {
-      const sim::ParallelPolicy policy =
-          std::string(mode) == "deterministic"
-              ? sim::ParallelPolicy::kDeterministic
-              : sim::ParallelPolicy::kRelaxed;
-      for (const std::size_t t_count : threads_list) {
-        RunResult r;
-        r.mode = mode;
-        r.n = n;
-        r.threads = static_cast<unsigned>(t_count);
-        sim::Network net = make_net(n);
-        sim::ParallelCycleEngine engine(net, {r.threads, policy});
-        const auto t = Clock::now();
-        engine.run(cycles);
-        r.run_seconds = seconds_since(t);
-        r.exchanges = engine.stats().exchanges;
-        r.exchanges_per_second =
-            static_cast<double>(r.exchanges) / r.run_seconds;
-        r.speedup = base.run_seconds / r.run_seconds;
-        r.digest = state_digest(net);
-        r.matches_sequential = r.digest == base.digest;
-        if (policy == sim::ParallelPolicy::kDeterministic &&
-            !r.matches_sequential) {
-          // The equivalence contract is checked on every bench run, not
-          // just in the test suite: a digest mismatch is a hard failure.
-          std::fprintf(stderr,
-                       "FATAL: deterministic run (n=%zu, threads=%u) "
-                       "diverged from the sequential baseline\n",
-                       n, r.threads);
-          return 1;
-        }
-        std::printf(
-            "  n=%-8zu %-13s t=%u  %6.2fs  %10.0f exch/s  %4.2fx%s\n", n,
-            r.mode.c_str(), r.threads, r.run_seconds, r.exchanges_per_second,
-            r.speedup, r.matches_sequential ? "  (=seq)" : "");
-        results.push_back(r);
+    for (const std::size_t t_count : threads_list) {
+      RunResult r;
+      r.mode = "deterministic";
+      r.n = n;
+      r.threads = static_cast<unsigned>(t_count);
+      sim::Network net = make_net(n);
+      sim::ParallelCycleEngine engine(net, {r.threads});
+      const auto t = Clock::now();
+      engine.run(cycles);
+      r.run_seconds = seconds_since(t);
+      r.exchanges = engine.stats().exchanges;
+      r.exchanges_per_second =
+          static_cast<double>(r.exchanges) / r.run_seconds;
+      r.speedup = base.run_seconds / r.run_seconds;
+      r.digest = state_digest(net);
+      r.matches_sequential = r.digest == base.digest;
+      if (!r.matches_sequential) {
+        // The equivalence contract is checked on every bench run, not
+        // just in the test suite: a digest mismatch is a hard failure.
+        std::fprintf(stderr,
+                     "FATAL: deterministic run (n=%zu, threads=%u) "
+                     "diverged from the sequential baseline\n",
+                     n, r.threads);
+        return 1;
       }
+      std::printf(
+          "  n=%-8zu %-13s t=%u  %6.2fs  %10.0f exch/s  %4.2fx  (=seq)\n", n,
+          r.mode.c_str(), r.threads, r.run_seconds, r.exchanges_per_second,
+          r.speedup);
+      results.push_back(r);
     }
   }
 
   const std::string spec_name = spec.name();
   obs::RunRecorder rec(
-      "scale_parallel", 1,
+      "scale_parallel", 2,
       bench::make_run_metadata("scale_parallel", "parallel-cycle", spec_name,
                                bench::protocol_wire_id(spec), sizes.back(), c,
                                cycles, seed));

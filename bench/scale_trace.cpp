@@ -9,9 +9,7 @@
 // attached, armed=false) and armed (TraceRecorder + Profiler through a
 // TraceTee). Any divergence means tracing perturbed the protocol; the
 // driver exits non-zero so CI can gate on `"differential_ok": true`. The
-// armed run must also have recorded spans, or the gate is vacuous
-// (relaxed-policy runs are instrumented too but are not digest-stable
-// run-to-run, so they are exercised by tests, not gated here).
+// armed run must also have recorded spans, or the gate is vacuous.
 //
 // Phase 2 measures what an armed flight recorder costs: EventEngine
 // exchanges/s untraced vs armed at the sizes in PSS_TRACE_NS (default

@@ -64,7 +64,7 @@ REGISTRY = {
         1: {"sections": ["params", "runs"], "gates": ["digest"]},
     },
     "pss.bench.scale_parallel": {
-        1: {"sections": ["runs"],
+        2: {"sections": ["runs"],
             "gates": ["deterministic_matches_sequential"]},
     },
     "pss.bench.scale_scenarios": {

@@ -137,11 +137,11 @@ class Rng {
   /// arguments — no shared state is read or advanced — so concurrent callers
   /// can derive generators for different (stream, counter) pairs without
   /// synchronization, and the values a stream produces depend only on how
-  /// often *it* was used, never on global interleaving. This is the RNG
-  /// story of the parallel cycle engine's Relaxed mode (each node draws from
-  /// stream = node id, counter = its own participation count); the
-  /// Deterministic mode keeps the sequential per-node `split()` streams,
-  /// which its conflict schedule serializes exactly.
+  /// often *it* was used, never on global interleaving. AdversaryModel
+  /// keys its forge streams this way (stream = sender, counter = the
+  /// sender's own forge call index), so what a byzantine node sends does
+  /// not depend on which lane runs its step; TraceChurn draws each node's
+  /// Pareto session length from (seed, node id).
   static Rng stream_at(std::uint64_t seed, std::uint64_t stream,
                        std::uint64_t counter);
 

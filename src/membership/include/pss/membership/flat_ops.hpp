@@ -76,13 +76,15 @@ class AddressSet {
 /// Reusable working memory for one exchange pipeline. Owned by whoever
 /// drives exchanges (the cycle engine owns one; adapter methods make a
 /// short-lived local one). Never aliased across the pipeline: `merged`
-/// backs absorb, `buffer`/`reply` carry the in-flight messages, the rest
-/// back view selection.
+/// backs absorb, `buffer`/`reply` carry the in-flight messages, `forged`
+/// stages sim::ExchangeCore's byzantine rewrites, the rest back view
+/// selection.
 struct Scratch {
   std::vector<NodeDescriptor> merged;  ///< absorb's union buffer
   std::vector<NodeDescriptor> buffer;  ///< active thread's outgoing buffer
   std::vector<NodeDescriptor> reply;   ///< passive thread's pull reply
   std::vector<NodeDescriptor> sel;     ///< selection: assembled result
+  std::vector<NodeDescriptor> forged;  ///< byzantine forge staging
   std::vector<std::size_t> picks;      ///< sample_indices output
   std::vector<std::size_t> fy;         ///< sample_indices Fisher–Yates table
   AddressSet seen;                     ///< merge dedup table

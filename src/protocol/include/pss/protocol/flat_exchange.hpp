@@ -2,12 +2,14 @@
 //
 // These free functions are the single implementation of the gossip skeleton
 // shared by every execution surface:
-//   - CycleEngine calls them directly on the network's NodeArena with a
-//     persistent Scratch — the batched, allocation-free atomic-exchange path;
-//   - the asynchronous drivers (EventEngine, ParallelEventEngine and the
-//     wire-level ServiceNode) reach the request/reply split kernels below
-//     through sim::ExchangeCore (pss/sim/exchange_apply.hpp) — the same
-//     Figure-1 halves, decoupled in time by a message layer;
+//   - the cycle engines' honest path calls run_exchange directly on the
+//     network's NodeArena with a persistent Scratch — the batched,
+//     allocation-free atomic-exchange path;
+//   - every byzantine-hooked exchange and every asynchronous driver
+//     (EventEngine, ParallelEventEngine and the wire-level ServiceNode)
+//     reach the request/reply split kernels below through sim::ExchangeCore
+//     (pss/sim/exchange_apply.hpp) — the same Figure-1 halves, decoupled in
+//     time by a message layer, or run back to back in the cycle model;
 //   - GossipNode's handler methods call the same functions on its own slot,
 //     preserving the legacy message-level API for the service layer, the
 //     reference LegacyEventEngine and the tests.
@@ -200,14 +202,9 @@ inline std::uint32_t handle_request(NodeArena& arena, NodeId passive,
 ///   if (pull) active.handle_reply(*reply);
 /// including the order of stats updates and Rng consumption. The caller has
 /// already aged the active view, selected `passive` and checked liveness.
-/// The two sides' random draws come from `active_rng`/`passive_rng`, which
-/// are the arena's per-node streams on the sequential and deterministic
-/// parallel paths (see run_exchange below) and counter-derived throwaway
-/// generators in the parallel engine's Relaxed mode.
-inline void run_exchange_with(NodeArena& arena, NodeId active, NodeId passive,
-                              const ProtocolSpec& spec,
-                              const ProtocolOptions& options, Scratch& scratch,
-                              Rng& active_rng, Rng& passive_rng) {
+inline void run_exchange(NodeArena& arena, NodeId active, NodeId passive,
+                         const ProtocolSpec& spec,
+                         const ProtocolOptions& options, Scratch& scratch) {
   FlatViewStore& store = arena.views;
   make_active_buffer(store.view_of(active), active, spec.push(),
                      scratch.buffer);
@@ -221,21 +218,13 @@ inline void run_exchange_with(NodeArena& arena, NodeId active, NodeId passive,
                        scratch.reply);
     ++arena.stats[passive].replies_sent;
   }
-  absorb(store, passive, passive, spec, options, scratch.buffer, passive_rng,
-         scratch, /*age_incoming=*/1);
+  absorb(store, passive, passive, spec, options, scratch.buffer,
+         arena.rngs[passive], scratch, /*age_incoming=*/1);
   // Active thread tail (handle_reply): merge the aged reply and select.
   if (pull) {
-    absorb(store, active, active, spec, options, scratch.reply, active_rng,
-           scratch, /*age_incoming=*/1);
+    absorb(store, active, active, spec, options, scratch.reply,
+           arena.rngs[active], scratch, /*age_incoming=*/1);
   }
-}
-
-/// run_exchange_with on the arena's own per-node Rng streams.
-inline void run_exchange(NodeArena& arena, NodeId active, NodeId passive,
-                         const ProtocolSpec& spec,
-                         const ProtocolOptions& options, Scratch& scratch) {
-  run_exchange_with(arena, active, passive, spec, options, scratch,
-                    arena.rngs[active], arena.rngs[passive]);
 }
 
 }  // namespace pss::flat

@@ -3,7 +3,7 @@
 // The paper assumes correct (if failure-prone) nodes; any deployed peer
 // sampling service also faces nodes that lie. AdversaryModel supplies the
 // two classic attacks against gossip membership, as *policy* behind the
-// mechanism-only ExchangeTamper interface in pss/sim/cycle_step.hpp:
+// mechanism-only ExchangeTamper interface in pss/sim/exchange_apply.hpp:
 //
 //   kHubPoison — a poisoner answers every exchange with exactly one
 //     descriptor: itself at hop count 0, and it never ages its own view.
@@ -35,7 +35,7 @@
 #include "pss/common/rng.hpp"
 #include "pss/common/types.hpp"
 #include "pss/membership/node_descriptor.hpp"
-#include "pss/sim/cycle_step.hpp"
+#include "pss/sim/exchange_apply.hpp"
 
 namespace pss::scenarios {
 

@@ -66,7 +66,7 @@ void EventEngine::on_wakeup(NodeId id) {
         rng.uniform() * (config_.max_latency - config_.min_latency);
     const DescriptorSlabPool::SlabId slab = pool_.acquire();
     pool_.set_size(slab, core_.write_request(id, id, *request,
-                                             pool_.data(slab), forged_));
+                                             pool_.data(slab), scratch_));
     push_event(now_ + latency, Kind::kRequest, id, request->peer, request->id,
                slab);
   }
@@ -111,7 +111,7 @@ void EventEngine::on_request(const FlatEvent& e) {
   NodeDescriptor* reply_out = deliver_reply ? pool_.data(reply_slab) : nullptr;
   const std::uint32_t reply_size =
       core_.on_request(e.to, e.to, e.from, e.exchange_id, request, reply_out,
-                       scratch_, forged_, ticks_);
+                       scratch_, ticks_);
   pool_.release(e.slab);
   if (deliver_reply) {
     pool_.set_size(reply_slab, reply_size);

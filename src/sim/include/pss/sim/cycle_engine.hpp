@@ -63,9 +63,10 @@ class CycleEngine {
   }
 
   /// Registers the byzantine-injection hook (see ExchangeTamper in
-  /// cycle_step.hpp). A tamper that never forges or suppresses leaves the
-  /// run bit-identical to an unhooked engine — the differential contract
-  /// tests/scenarios_test.cpp pins. The tamper must outlive the engine.
+  /// exchange_apply.hpp). A tamper that never forges or suppresses leaves
+  /// the run bit-identical to an unhooked engine — the differential
+  /// contract tests/scenarios_test.cpp pins. The tamper must outlive the
+  /// engine.
   void attach_adversary(ExchangeTamper& tamper) { tamper_ = &tamper; }
 
   /// Registers the causal-tracing hook (see TraceProbe in trace_probe.hpp):

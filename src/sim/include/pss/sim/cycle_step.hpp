@@ -34,6 +34,7 @@
 #include "pss/common/types.hpp"
 #include "pss/membership/flat_ops.hpp"
 #include "pss/protocol/flat_exchange.hpp"
+#include "pss/sim/exchange_apply.hpp"
 #include "pss/sim/network.hpp"
 
 namespace pss::sim {
@@ -66,83 +67,6 @@ struct CycleStep {
   std::uint64_t trace_id = 0;
 };
 
-/// Byzantine-injection seam of the engines (pre/post-exchange hook).
-///
-/// This is mechanism only: the engines consult the tamper at exactly two
-/// points — before a node's once-per-cycle aging (suppress_aging) and after
-/// an outgoing buffer has been built but before it is delivered
-/// (is_byzantine + forge_buffer). What a byzantine node actually sends is
-/// entirely the tamper's policy (pss_scenarios::AdversaryModel supplies hub
-/// poisoning and descriptor forgery); the engines know nothing beyond this
-/// interface, mirroring the SnapshotProbe split on the observation side.
-///
-/// Contract:
-///   - With no tamper attached — or with a tamper whose is_byzantine and
-///     suppress_aging return false everywhere — every engine is bit-identical
-///     (views, stats, per-node and master Rng consumption) to its unhooked
-///     self. The differential suite in tests/scenarios_test.cpp and the
-///     bench/scale_scenarios digest gate pin this.
-///   - forge_buffer is only invoked when is_byzantine(sender) is true, and
-///     must leave `buffer` normalized (sorted by (hop, address),
-///     duplicate-free) with at most view_size + 1 entries — the same shape
-///     an honest make_active_buffer produces, and the capacity of the event
-///     engine's message slabs.
-///   - Thread safety: the cycle engines may call these hooks from worker
-///     lanes. is_byzantine/suppress_aging must be const lookups; forge_buffer
-///     may keep per-sender state (the engines never run two steps of one
-///     sender concurrently — the conflict scheduler serializes them in
-///     Deterministic mode, the pair locks in Relaxed mode) but must not
-///     share mutable state across senders.
-class ExchangeTamper {
- public:
-  virtual ~ExchangeTamper() = default;
-
-  /// True when `node`'s outgoing buffers are forged.
-  virtual bool is_byzantine(NodeId node) const = 0;
-
-  /// True when `node` skips its once-per-cycle view aging (pre-step hook).
-  virtual bool suppress_aging(NodeId node) const = 0;
-
-  /// Replaces the buffer `sender` is about to ship to `receiver`. `buffer`
-  /// arrives holding the honest content and leaves holding what actually
-  /// goes on the wire (see the normalization contract above).
-  virtual void forge_buffer(NodeId sender, NodeId receiver,
-                            std::vector<NodeDescriptor>& buffer) = 0;
-};
-
-/// flat::run_exchange_with with the tamper consulted on both outgoing
-/// buffers. The statement sequence — stats updates, absorb order, Rng
-/// consumption — mirrors the untampered kernel exactly, so a tamper that
-/// never forges leaves the run bit-identical.
-inline void run_exchange_tampered(flat::NodeArena& arena, NodeId active,
-                                  NodeId passive, const ProtocolSpec& spec,
-                                  const ProtocolOptions& options,
-                                  flat::Scratch& scratch, Rng& active_rng,
-                                  Rng& passive_rng, ExchangeTamper& tamper) {
-  FlatViewStore& store = arena.views;
-  flat::make_active_buffer(store.view_of(active), active, spec.push(),
-                           scratch.buffer);
-  if (tamper.is_byzantine(active)) {
-    tamper.forge_buffer(active, passive, scratch.buffer);
-  }
-  ++arena.stats[passive].received;
-  const bool pull = spec.pull();
-  if (pull) {
-    flat::make_active_buffer(store.view_of(passive), passive, /*push=*/true,
-                             scratch.reply);
-    ++arena.stats[passive].replies_sent;
-  }
-  flat::absorb(store, passive, passive, spec, options, scratch.buffer,
-               passive_rng, scratch, /*age_incoming=*/1);
-  if (pull) {
-    if (tamper.is_byzantine(passive)) {
-      tamper.forge_buffer(passive, active, scratch.reply);
-    }
-    flat::absorb(store, active, active, spec, options, scratch.reply,
-                 active_rng, scratch, /*age_incoming=*/1);
-  }
-}
-
 /// Phase 1 — selection. Must run at the step's sequential position: after
 /// every earlier step that touches `initiator` has executed, and before any
 /// later one does. Consumes the initiator's arena Rng stream exactly as the
@@ -157,6 +81,40 @@ inline CycleStep select_cycle_step(Network& net, NodeId initiator) {
     return {initiator, *peer, StepKind::kFailedContact};
   }
   return {initiator, *peer, StepKind::kExchange};
+}
+
+/// The hooked exchange of phase 2: ExchangeCore's three halves back to
+/// back — write_request, on_request, on_reply — so the cycle engines forge
+/// through the same code as the event engines and ServiceNode. The core has
+/// no trace probe (the cycle engines record their own select and
+/// merge_apply spans) and is owed no aging (execute_cycle_step applied it).
+/// The request and reply live in scratch.buffer / scratch.reply, which the
+/// core's absorb and forge never touch.
+inline void run_hooked_exchange(Network& net, const CycleStep& step,
+                                flat::Scratch& scratch,
+                                ExchangeTamper& tamper) {
+  ExchangeCore core(net.arena(), net.spec(), net.options(),
+                    /*reply_timeout=*/0);
+  core.attach_adversary(tamper);
+  const std::size_t capacity = net.options().view_size + 1;
+  scratch.buffer.resize(capacity);
+  scratch.reply.resize(capacity);
+  const ExchangeRequest request{step.peer, step.trace_id,
+                                /*owes_aging=*/false};
+  const std::uint32_t sent = core.write_request(
+      step.initiator, step.initiator, request, scratch.buffer.data(), scratch);
+  // No reply buffer when the protocol does not pull: a byzantine passive
+  // node's absent reply must not be forged, or its forge call index shifts.
+  NodeDescriptor* reply_out =
+      net.spec().pull() ? scratch.reply.data() : nullptr;
+  const std::uint32_t replied =
+      core.on_request(step.peer, step.peer, step.initiator, request.id,
+                      {scratch.buffer.data(), sent}, reply_out, scratch,
+                      /*tick=*/0);
+  if (reply_out != nullptr) {
+    core.on_reply(step.initiator, step.initiator, step.peer, request.id,
+                  {reply_out, replied}, scratch, /*tick=*/0);
+  }
 }
 
 /// Phase 2 — execution. Touches only the slots (views, Rng streams,
@@ -192,9 +150,7 @@ inline void execute_cycle_step(Network& net, const CycleStep& step,
     flat::run_exchange(arena, step.initiator, step.peer, net.spec(),
                        net.options(), scratch);
   } else {
-    run_exchange_tampered(arena, step.initiator, step.peer, net.spec(),
-                          net.options(), scratch, arena.rngs[step.initiator],
-                          arena.rngs[step.peer], *tamper);
+    run_hooked_exchange(net, step, scratch, *tamper);
   }
   ++stats.exchanges;
 }

@@ -106,7 +106,7 @@ class EventEngine {
   }
 
   /// Registers the byzantine-injection hook (see ExchangeTamper in
-  /// cycle_step.hpp): byzantine wake-ups skip view aging, and byzantine
+  /// exchange_apply.hpp): byzantine wake-ups skip view aging, and byzantine
   /// request/reply payloads are rewritten in their message slabs just
   /// before they go on the wire. Message timing, losses and the master Rng
   /// are untouched, so a tamper that never forges or suppresses leaves the
@@ -181,7 +181,6 @@ class EventEngine {
   std::uint64_t ticks_ = 0;          ///< run_cycles ticks since the anchor
   std::vector<ProbeRegistration> probes_;
   Cycle probe_ticks_ = 0;            ///< lifetime tick count for cadence
-  std::vector<NodeDescriptor> forged_;  ///< forge staging buffer, reused
 };
 
 }  // namespace pss::sim

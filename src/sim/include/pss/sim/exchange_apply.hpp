@@ -1,15 +1,17 @@
 #pragma once
 
-// The asynchronous Figure-1 exchange, written once. sim::ExchangeCore is
-// sans-I/O: it owns everything an exchange does to node state — reply
-// expiry, peer selection, aging, the buffer builds, absorb, the byzantine
-// forge (ExchangeTamper) and the select / timeout / merge_apply /
-// reply_received spans — and never moves a message. EventEngine,
-// ParallelEventEngine and ServiceNode (and through it LoopbackDriver)
-// drive it and keep only their own I/O: the engines their event queue,
-// master-Rng drop and latency draws and message slabs; ServiceNode its
-// wire frames and Transport. A caller records only the request_sent span,
-// which brackets its own hand-off.
+// The Figure-1 exchange with its byzantine seam, written once.
+// sim::ExchangeCore is sans-I/O: it owns everything an exchange does to
+// node state — reply expiry, peer selection, aging, the buffer builds,
+// absorb, the byzantine forge (ExchangeTamper) and the select / timeout /
+// merge_apply / reply_received spans — and never moves a message.
+// EventEngine, ParallelEventEngine and ServiceNode (and through it
+// LoopbackDriver) drive it and keep only their own I/O: the engines their
+// event queue, master-Rng drop and latency draws and message slabs;
+// ServiceNode its wire frames and Transport. A caller records only the
+// request_sent span, which brackets its own hand-off. The cycle engines'
+// hooked exchange (cycle_step.hpp) runs write_request, on_request and
+// on_reply back to back, so every engine forges through the same code.
 //
 // Per node, a caller runs on_tick, then write_request and hands the
 // buffer off (or lose_request if the request is lost before it is built);
@@ -36,10 +38,52 @@
 #include "pss/protocol/flat_exchange.hpp"
 #include "pss/protocol/node_arena.hpp"
 #include "pss/protocol/spec.hpp"
-#include "pss/sim/cycle_step.hpp"
 #include "pss/sim/trace_probe.hpp"
 
 namespace pss::sim {
+
+/// Byzantine-injection seam of the engines (pre/post-exchange hook).
+///
+/// This is mechanism only: the engines consult the tamper at exactly two
+/// points — before a node's once-per-cycle aging (suppress_aging) and after
+/// an outgoing buffer has been built but before it is delivered
+/// (is_byzantine + forge_buffer). What a byzantine node actually sends is
+/// entirely the tamper's policy (pss_scenarios::AdversaryModel supplies hub
+/// poisoning and descriptor forgery); the engines know nothing beyond this
+/// interface, mirroring the SnapshotProbe split on the observation side.
+///
+/// Contract:
+///   - With no tamper attached — or with a tamper whose is_byzantine and
+///     suppress_aging return false everywhere — every engine is bit-identical
+///     (views, stats, per-node and master Rng consumption) to its unhooked
+///     self. The differential suite in tests/scenarios_test.cpp and the
+///     bench/scale_scenarios digest gate pin this.
+///   - forge_buffer is only invoked when is_byzantine(sender) is true, and
+///     must leave `buffer` normalized (sorted by (hop, address),
+///     duplicate-free) with at most view_size + 1 entries — the same shape
+///     an honest buffer build produces, and the capacity of every request
+///     and reply buffer. ExchangeCore refuses a larger one with a
+///     std::logic_error on every engine.
+///   - Thread safety: the engines may call these hooks from worker lanes.
+///     is_byzantine/suppress_aging must be const lookups; forge_buffer may
+///     keep per-sender state (the engines never run two steps of one sender
+///     concurrently) but must not share mutable state across senders.
+class ExchangeTamper {
+ public:
+  virtual ~ExchangeTamper() = default;
+
+  /// True when `node`'s outgoing buffers are forged.
+  virtual bool is_byzantine(NodeId node) const = 0;
+
+  /// True when `node` skips its once-per-cycle view aging (pre-step hook).
+  virtual bool suppress_aging(NodeId node) const = 0;
+
+  /// Replaces the buffer `sender` is about to ship to `receiver`. `buffer`
+  /// arrives holding the honest content and leaves holding what actually
+  /// goes on the wire (see the normalization contract above).
+  virtual void forge_buffer(NodeId sender, NodeId receiver,
+                            std::vector<NodeDescriptor>& buffer) = 0;
+};
 
 /// Per-node pull bookkeeping: which exchange is outstanding, with whom,
 /// and until when the reply is acceptable.
@@ -151,17 +195,18 @@ class ExchangeCore {
   /// Writes the request buffer into `out` (view_size + 1 entries) and
   /// returns its entry count. The owed aging is fused into the build: one
   /// pass over the slot streams the aged view out behind {self, 0}.
+  /// `scratch` lends only its forge staging, scratch.forged, which `out`
+  /// must not point into.
   std::uint32_t write_request(NodeId slot, NodeId self,
                               const ExchangeRequest& request,
-                              NodeDescriptor* out,
-                              std::vector<NodeDescriptor>& staging) {
+                              NodeDescriptor* out, flat::Scratch& scratch) {
     const std::uint32_t n =
         request.owes_aging
             ? flat::age_write_active_buffer(arena_->views, slot, self,
                                             spec_.push(), out)
             : flat::write_active_buffer(arena_->views.view_of(slot), self,
                                         spec_.push(), out);
-    return forge(self, request.peer, out, n, staging);
+    return forge(self, request.peer, out, n, scratch);
   }
 
   /// A request lost before write_request still owes its aging (which draws
@@ -176,7 +221,6 @@ class ExchangeCore {
   std::uint32_t on_request(NodeId slot, NodeId self, NodeId from,
                            std::uint64_t id, flat::DescSpan request,
                            NodeDescriptor* reply_out, flat::Scratch& scratch,
-                           std::vector<NodeDescriptor>& staging,
                            std::uint64_t tick) {
     TraceProbe* trace = armed_trace();
     const std::uint64_t t0 = trace != nullptr ? trace_clock_ns() : 0;
@@ -184,7 +228,7 @@ class ExchangeCore {
         *arena_, slot, self, request.data(),
         static_cast<std::uint32_t>(request.size()), reply_out, spec_,
         options_, scratch);
-    if (reply_out != nullptr) n = forge(self, from, reply_out, n, staging);
+    if (reply_out != nullptr) n = forge(self, from, reply_out, n, scratch);
     if (trace != nullptr) {
       trace->record({TracePhase::kMergeApply, self, from, id, tick, t0,
                      trace_clock_ns()});
@@ -207,12 +251,13 @@ class ExchangeCore {
   }
 
  private:
-  /// Rewrites a byzantine sender's buffer in place; returns the entry
-  /// count after forging (== `size` when the sender is honest).
+  /// Rewrites a byzantine sender's buffer in place, staged through
+  /// scratch.forged; returns the entry count after forging (== `size` when
+  /// the sender is honest).
   std::uint32_t forge(NodeId sender, NodeId receiver, NodeDescriptor* buffer,
-                      std::uint32_t size,
-                      std::vector<NodeDescriptor>& staging) {
+                      std::uint32_t size, flat::Scratch& scratch) {
     if (tamper_ == nullptr || !tamper_->is_byzantine(sender)) return size;
+    std::vector<NodeDescriptor>& staging = scratch.forged;
     staging.assign(buffer, buffer + size);
     tamper_->forge_buffer(sender, receiver, staging);
     // The tamper contract caps forged buffers at view_size + 1 entries, the

@@ -3,10 +3,10 @@
 // The sequential CycleEngine is memory-bound at 10⁶ nodes: each exchange
 // touches two random ~300 B slots, and one thread cannot cover the miss
 // latency. This engine runs the same per-step body (cycle_step.hpp) on a
-// persistent thread pool, under one of two documented semantics:
+// persistent thread pool without giving up the model's semantics: every
+// exchange is atomic, and nodes act in one random order per cycle.
 //
-// ParallelPolicy::kDeterministic — the equivalence mode. A
-// ConflictScheduler carves each cycle's permutation into contiguous,
+// A ConflictScheduler carves each cycle's permutation into contiguous,
 // conflict-free batches; peer selection runs on the scanning thread at
 // every step's exact sequential position, batch bodies run on the pool
 // behind a barrier. Two steps commute unless they share a node, every
@@ -18,30 +18,9 @@
 // price is the sequential scan: selection + scheduling stay on one thread,
 // so Amdahl caps the speedup (docs/PERFORMANCE.md quantifies it).
 //
-// ParallelPolicy::kRelaxed — the throughput mode, an explicit semantics
-// variant (like the cycle/event split): the permutation is sharded across
-// lanes and every node is guarded by a per-node spinlock; an exchange
-// locks its initiator, draws the peer, then locks the (initiator, peer)
-// pair in address order. Exchanges that share a node serialize in
-// whatever order the lanes reach them, so runs are *not* reproducible —
-// the equivalence guarantee is traded for scan-free scaling. What is
-// still guaranteed: freedom from data races (every slot access happens
-// under its node's lock — the TSan CI job runs this engine's tests), view
-// invariants I1-I3, one initiation per live node per cycle, and
-// interleaving-independent randomness: draws come from counter-based
-// streams (Rng::stream_at keyed by node id and per-node participation
-// count), so thread timing decides only which exchanges a node's draws
-// apply to, never the draw values themselves — node streams cannot
-// entangle. The paper's own model serializes exchanges; Relaxed
-// corresponds to the "concurrent cycle" reading where a node's cycle-t
-// partners may already have exchanged within cycle t.
-//
-// Master-Rng discipline: Deterministic mode consumes the master stream
-// exactly as the sequential engine does (one shuffle per cycle, nothing
-// at construction). Relaxed mode draws one extra master value when the
-// engine is constructed (the stream-derivation seed) and the per-cycle
-// shuffle thereafter — so constructing a Relaxed engine shifts the master
-// stream by one draw relative to a sequential or Deterministic run.
+// Master-Rng discipline: the engine consumes the master stream exactly as
+// the sequential engine does — one shuffle per cycle, nothing at
+// construction.
 #pragma once
 
 #include <cstdint>
@@ -53,18 +32,15 @@
 #include "pss/sim/cycle_step.hpp"
 #include "pss/sim/network.hpp"
 #include "pss/sim/probe.hpp"
-#include "pss/sim/relaxed_lock.hpp"
 #include "pss/sim/thread_pool.hpp"
 #include "pss/sim/trace_probe.hpp"
-
-#include <atomic>
 
 namespace pss::sim {
 
 /// Execution semantics of the parallel engine; see the header comment.
+/// kDeterministic is the only value; existing callers spell it in Config.
 enum class ParallelPolicy : std::uint8_t {
   kDeterministic,  ///< bit-identical to the sequential CycleEngine
-  kRelaxed,        ///< race-free but schedule-dependent; scan-free scaling
 };
 
 class ParallelCycleEngine {
@@ -75,9 +51,7 @@ class ParallelCycleEngine {
     ParallelPolicy policy = ParallelPolicy::kDeterministic;
   };
 
-  /// `network` must outlive the engine. In Relaxed mode construction draws
-  /// one value from the master Rng (the stream-derivation seed);
-  /// Deterministic construction leaves the network untouched.
+  /// `network` must outlive the engine; construction leaves it untouched.
   ParallelCycleEngine(Network& network, Config config);
 
   /// Runs one cycle: permutes live nodes, fires each active thread once.
@@ -93,7 +67,6 @@ class ParallelCycleEngine {
   const EngineStats& stats() const { return stats_; }
 
   unsigned threads() const { return pool_.concurrency(); }
-  ParallelPolicy policy() const { return config_.policy; }
 
   /// Registers an observer fired on the driving thread after every
   /// `cadence`-th cycle's end-of-cycle barrier — all lanes are quiescent, so
@@ -104,39 +77,33 @@ class ParallelCycleEngine {
   }
 
   /// Registers the byzantine-injection hook (see ExchangeTamper in
-  /// cycle_step.hpp). Hooks fire on worker lanes; the tamper's thread-safety
-  /// contract (const classification, per-sender forge state) plus the
-  /// engine's schedule (conflict batches / pair locks serialize any one
-  /// node's steps) keep this race-free. In Deterministic mode a hooked run
-  /// stays bit-identical to the hooked sequential engine at any thread
-  /// count, provided the tamper's forgery depends only on (sender,
-  /// per-sender call index) — which is how AdversaryModel derives its
-  /// streams. The tamper must outlive the engine.
+  /// exchange_apply.hpp). Hooks fire on worker lanes; the tamper's
+  /// thread-safety contract (const classification, per-sender forge state)
+  /// plus the conflict batches, which serialize any one node's steps, keep
+  /// this race-free. A hooked run stays bit-identical to the hooked
+  /// sequential engine at any thread count, provided the tamper's forgery
+  /// depends only on (sender, per-sender call index) — which is how
+  /// AdversaryModel derives its streams. The tamper must outlive the
+  /// engine.
   void attach_adversary(ExchangeTamper& tamper) { tamper_ = &tamper; }
 
   /// Registers the causal-tracing hook (see TraceProbe in trace_probe.hpp).
-  /// In Deterministic mode selection spans fire on the scanning thread at
-  /// each step's sequential position and merge+apply spans on whichever
-  /// lane executes the step (record() must be thread-safe — the obs
-  /// implementations are); in Relaxed mode both spans fire on the
-  /// executing lane. Tracing never mutates simulation state, so hooked
-  /// runs — armed or disarmed — keep the engine's digest contract intact
-  /// at any thread count. The probe must outlive the engine.
+  /// Selection spans fire on the scanning thread at each step's sequential
+  /// position and merge+apply spans on whichever lane executes the step
+  /// (record() must be thread-safe — the obs implementations are). Tracing
+  /// never mutates simulation state, so hooked runs — armed or disarmed —
+  /// keep the engine's digest contract intact at any thread count. The
+  /// probe must outlive the engine.
   void attach_trace(TraceProbe& trace) { trace_ = &trace; }
 
  private:
   void build_order();
-  void run_cycle_deterministic();
-  void run_cycle_relaxed();
   void execute_batch();
-  void relaxed_initiate(NodeId initiator, flat::Scratch& scratch,
-                        EngineStats& stats);
   /// execute_cycle_step bracketed by the merge+apply span when traced.
   void execute_step(const CycleStep& step, flat::Scratch& scratch,
                     EngineStats& stats);
 
   Network* network_;
-  Config config_;
   ThreadPool pool_;
   ConflictScheduler scheduler_;
   Cycle cycle_ = 0;
@@ -148,14 +115,8 @@ class ParallelCycleEngine {
   std::vector<ProbeRegistration> probes_;
   ExchangeTamper* tamper_ = nullptr;  ///< byzantine seam; null = honest run
   TraceProbe* trace_ = nullptr;       ///< tracing seam; null = untraced run
-  /// Trace-only step id counter. Relaxed lanes bump it concurrently;
-  /// Deterministic mode touches it from the scanning thread alone.
-  std::atomic<std::uint64_t> trace_exchange_{0};
-
-  // Relaxed-mode state (empty under kDeterministic).
-  std::uint64_t relaxed_seed_ = 0;
-  std::vector<RelaxedNodeLock> locks_;          ///< one spinlock per node
-  std::vector<std::uint32_t> participations_;   ///< per-node draw counters
+  /// Trace-only step id counter; only the scanning thread touches it.
+  std::uint64_t trace_exchange_ = 0;
 };
 
 }  // namespace pss::sim

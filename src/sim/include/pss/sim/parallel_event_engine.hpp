@@ -101,10 +101,10 @@ class ParallelEventEngine {
   }
 
   /// Same seam as EventEngine::attach_adversary, with the parallel-engine
-  /// addendum (see ExchangeTamper in cycle_step.hpp): reply forging runs on
-  /// worker lanes, so is_byzantine / forge_buffer must be safe to call
-  /// concurrently (pure functions of their arguments in practice). Wakeup
-  /// hooks (suppress_aging, request forging) stay on the sequencer.
+  /// addendum (see ExchangeTamper in exchange_apply.hpp): reply forging
+  /// runs on worker lanes, so is_byzantine / forge_buffer must be safe to
+  /// call concurrently (pure functions of their arguments in practice).
+  /// Wakeup hooks (suppress_aging, request forging) stay on the sequencer.
   void attach_adversary(ExchangeTamper& tamper) {
     core_.attach_adversary(tamper);
   }
@@ -171,7 +171,6 @@ class ParallelEventEngine {
   /// allocation-free given a warm Scratch, so lanes never share memory.
   struct alignas(64) LaneState {
     flat::Scratch scratch;
-    std::vector<NodeDescriptor> forged;  ///< per-lane forge staging buffer
   };
 
   void advance_to(double until);

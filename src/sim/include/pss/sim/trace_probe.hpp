@@ -1,6 +1,6 @@
 // Policy-free causal-tracing hooks for the execution engines — the span
 // counterpart of SnapshotProbe (probe.hpp) and ExchangeTamper
-// (cycle_step.hpp).
+// (exchange_apply.hpp).
 //
 // A TraceProbe receives one TraceSpan per exchange *phase*: the paper's
 // active thread contributes select / request-sent / timeout spans, the

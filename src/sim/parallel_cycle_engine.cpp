@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "pss/protocol/flat_exchange.hpp"
-
 namespace pss::sim {
 
 namespace {
@@ -21,43 +19,12 @@ constexpr std::size_t kInlineBatch = 16;
 // Same scan lookahead as the sequential engine (see cycle_engine.cpp).
 constexpr std::size_t kPrefetchAhead = 8;
 
-// Shared work distribution of both policies: lanes grab kChunk-sized index
-// ranges off one counter and run `body(index, scratch, stats)` for each;
-// per-lane stats merge once per dispatch instead of per step (the shared
-// lane_stats array would otherwise false-share across lanes).
-template <typename Body>
-void parallel_for_chunks(ThreadPool& pool, std::size_t count,
-                         std::vector<flat::Scratch>& lane_scratch,
-                         std::vector<EngineStats>& lane_stats, Body&& body) {
-  std::atomic<std::size_t> next{0};
-  pool.run([&](unsigned lane) {
-    flat::Scratch& scratch = lane_scratch[lane];
-    EngineStats local;
-    for (;;) {
-      const std::size_t begin =
-          next.fetch_add(kChunk, std::memory_order_relaxed);
-      if (begin >= count) break;
-      const std::size_t end = std::min(begin + kChunk, count);
-      for (std::size_t i = begin; i < end; ++i) body(i, scratch, local);
-    }
-    lane_stats[lane].exchanges += local.exchanges;
-    lane_stats[lane].failed_contacts += local.failed_contacts;
-    lane_stats[lane].empty_views += local.empty_views;
-  });
-}
-
 }  // namespace
 
 ParallelCycleEngine::ParallelCycleEngine(Network& network, Config config)
-    : network_(&network), config_(config), pool_(config.threads) {
+    : network_(&network), pool_(config.threads) {
   lane_scratch_.resize(pool_.concurrency());
   lane_stats_.resize(pool_.concurrency());
-  if (config_.policy == ParallelPolicy::kRelaxed) {
-    // Base of every counter-derived stream this engine will ever hand out.
-    // Drawn once so Relaxed runs are a pure function of (network seed,
-    // construction order), like everything else in the simulator.
-    relaxed_seed_ = network.rng()();
-  }
 }
 
 void ParallelCycleEngine::build_order() {
@@ -73,25 +40,6 @@ void ParallelCycleEngine::build_order() {
 
 void ParallelCycleEngine::run_cycle() {
   for (EngineStats& s : lane_stats_) s = EngineStats{};
-  if (config_.policy == ParallelPolicy::kDeterministic) {
-    run_cycle_deterministic();
-  } else {
-    run_cycle_relaxed();
-  }
-  for (const EngineStats& s : lane_stats_) {
-    stats_.exchanges += s.exchanges;
-    stats_.failed_contacts += s.failed_contacts;
-    stats_.empty_views += s.empty_views;
-  }
-  ++cycle_;
-  fire_probes(probes_, *network_, cycle_);
-}
-
-void ParallelCycleEngine::run(Cycle cycles) {
-  for (Cycle i = 0; i < cycles; ++i) run_cycle();
-}
-
-void ParallelCycleEngine::run_cycle_deterministic() {
   build_order();
   scheduler_.begin_cycle(order_, network_->size());
   const flat::NodeArena& arena = network_->arena();
@@ -114,8 +62,7 @@ void ParallelCycleEngine::run_cycle_deterministic() {
     const bool armed = trace_->armed();
     const std::uint64_t t0 = armed ? trace_clock_ns() : 0;
     CycleStep step = select_cycle_step(*network_, initiator);
-    step.trace_id =
-        trace_exchange_.fetch_add(1, std::memory_order_relaxed) + 1;
+    step.trace_id = ++trace_exchange_;
     if (armed) {
       trace_->record({TracePhase::kSelect, initiator,
                       step.kind == StepKind::kEmptyView ? kInvalidNode
@@ -131,6 +78,17 @@ void ParallelCycleEngine::run_cycle_deterministic() {
   while (scheduler_.next_batch(select, inline_exec, batch_)) {
     execute_batch();
   }
+  for (const EngineStats& s : lane_stats_) {
+    stats_.exchanges += s.exchanges;
+    stats_.failed_contacts += s.failed_contacts;
+    stats_.empty_views += s.empty_views;
+  }
+  ++cycle_;
+  fire_probes(probes_, *network_, cycle_);
+}
+
+void ParallelCycleEngine::run(Cycle cycles) {
+  for (Cycle i = 0; i < cycles; ++i) run_cycle();
 }
 
 void ParallelCycleEngine::execute_step(const CycleStep& step,
@@ -156,115 +114,31 @@ void ParallelCycleEngine::execute_batch() {
     }
     return;
   }
+  // Lanes grab kChunk-sized index ranges off one counter; per-lane stats
+  // merge once per dispatch instead of per step (the shared lane_stats_
+  // array would otherwise false-share across lanes).
   const flat::NodeArena& arena = network_->arena();
-  parallel_for_chunks(
-      pool_, batch_.size(), lane_scratch_, lane_stats_,
-      [&](std::size_t i, flat::Scratch& scratch, EngineStats& stats) {
+  const std::size_t count = batch_.size();
+  std::atomic<std::size_t> next{0};
+  pool_.run([&](unsigned lane) {
+    flat::Scratch& scratch = lane_scratch_[lane];
+    EngineStats local;
+    for (;;) {
+      const std::size_t begin =
+          next.fetch_add(kChunk, std::memory_order_relaxed);
+      if (begin >= count) break;
+      const std::size_t end = std::min(begin + kChunk, count);
+      for (std::size_t i = begin; i < end; ++i) {
         // Warm the next step's initiator while this one runs (its peer is
         // prefetched inside the step body, as in the sequential engine).
-        if (i + 1 < batch_.size()) {
-          arena.prefetch_node(batch_[i + 1].initiator);
-        }
-        execute_step(batch_[i], scratch, stats);
-      });
-}
-
-void ParallelCycleEngine::run_cycle_relaxed() {
-  build_order();
-  const std::size_t n = network_->size();
-  // Grown strictly between cycles, while no lock is held / counter in use.
-  if (locks_.size() < n) locks_.resize(n);
-  if (participations_.size() < n) participations_.resize(n, 0);
-  parallel_for_chunks(
-      pool_, order_.size(), lane_scratch_, lane_stats_,
-      [&](std::size_t i, flat::Scratch& scratch, EngineStats& stats) {
-        relaxed_initiate(order_[i], scratch, stats);
-      });
-}
-
-void ParallelCycleEngine::relaxed_initiate(NodeId initiator,
-                                           flat::Scratch& scratch,
-                                           EngineStats& stats) {
-  flat::NodeArena& arena = network_->arena();
-  // Byzantine aging suppression, decided once (const lookup, no lock
-  // needed); see ExchangeTamper in cycle_step.hpp.
-  const bool age_self =
-      tamper_ == nullptr || !tamper_->suppress_aging(initiator);
-  // Tracing in Relaxed mode fires both spans on the executing lane; the
-  // id comes off the shared trace-only counter (relaxed order — ids need
-  // to be distinct, not sequenced).
-  const bool traced = trace_ != nullptr && trace_->armed();
-  const std::uint64_t trace_id =
-      traced ? trace_exchange_.fetch_add(1, std::memory_order_relaxed) + 1
-             : 0;
-  std::uint64_t t0 = traced ? trace_clock_ns() : 0;
-  // Phase 1 under the initiator's lock alone: draw the peer from a
-  // counter-derived stream (the arena's sequential per-node streams stay
-  // untouched in Relaxed mode). The same derived generator later serves
-  // the initiator's reply-absorb draws — one stream per participation.
-  locks_[initiator].lock();
-  Rng rng = Rng::stream_at(relaxed_seed_, initiator,
-                           participations_[initiator]++);
-  const auto peer = flat::select_peer(arena.views.view_of(initiator),
-                                      network_->spec().peer_selection, rng);
-  if (!peer) {
-    if (age_self) arena.views.age(initiator);
-    locks_[initiator].unlock();
-    ++stats.empty_views;
-    if (traced) {
-      trace_->record({TracePhase::kSelect, initiator, kInvalidNode, trace_id,
-                      cycle_ + 1, t0, trace_clock_ns()});
+        if (i + 1 < count) arena.prefetch_node(batch_[i + 1].initiator);
+        execute_step(batch_[i], scratch, local);
+      }
     }
-    return;
-  }
-  if (!network_->is_live(*peer) ||
-      !network_->can_communicate(initiator, *peer)) {
-    if (age_self) arena.views.age(initiator);
-    ++arena.stats[initiator].initiated;
-    flat::contact_failure(arena, initiator, *peer, network_->options());
-    locks_[initiator].unlock();
-    ++stats.failed_contacts;
-    if (traced) {
-      trace_->record({TracePhase::kSelect, initiator, *peer, trace_id,
-                      cycle_ + 1, t0, trace_clock_ns()});
-    }
-    return;
-  }
-  locks_[initiator].unlock();
-  if (traced) {
-    const std::uint64_t t1 = trace_clock_ns();
-    trace_->record({TracePhase::kSelect, initiator, *peer, trace_id,
-                    cycle_ + 1, t0, t1});
-    t0 = t1;
-  }
-  // Phase 2 under both locks, acquired in address order so two exchanges
-  // meeting on crossed pairs cannot deadlock. Dropping the initiator's
-  // lock in between means its view can change before the buffer is built —
-  // the drawn peer stands regardless; that is the Relaxed semantics.
-  PSS_DCHECK(*peer != initiator);
-  const NodeId lo = std::min(initiator, *peer);
-  const NodeId hi = std::max(initiator, *peer);
-  locks_[lo].lock();
-  locks_[hi].lock();
-  if (age_self) arena.views.age(initiator);
-  ++arena.stats[initiator].initiated;
-  Rng peer_rng =
-      Rng::stream_at(relaxed_seed_, *peer, participations_[*peer]++);
-  if (tamper_ == nullptr) {
-    flat::run_exchange_with(arena, initiator, *peer, network_->spec(),
-                            network_->options(), scratch, rng, peer_rng);
-  } else {
-    run_exchange_tampered(arena, initiator, *peer, network_->spec(),
-                          network_->options(), scratch, rng, peer_rng,
-                          *tamper_);
-  }
-  locks_[hi].unlock();
-  locks_[lo].unlock();
-  ++stats.exchanges;
-  if (traced) {
-    trace_->record({TracePhase::kMergeApply, initiator, *peer, trace_id,
-                    cycle_ + 1, t0, trace_clock_ns()});
-  }
+    lane_stats_[lane].exchanges += local.exchanges;
+    lane_stats_[lane].failed_contacts += local.failed_contacts;
+    lane_stats_[lane].empty_views += local.empty_views;
+  });
 }
 
 }  // namespace pss::sim

@@ -75,7 +75,7 @@ void ParallelEventEngine::seq_wakeup(NodeId id) {
     const DescriptorSlabPool::SlabId slab = pool_.acquire();
     pool_.set_size(slab, core_.write_request(id, id, *request,
                                              pool_.data(slab),
-                                             lanes_[0].forged));
+                                             lanes_[0].scratch));
     push_event(now_ + latency, Kind::kRequest, id, request->peer, request->id,
                slab);
   }
@@ -166,8 +166,7 @@ void ParallelEventEngine::run_task(const SlotTask& t, LaneState& lane) {
   const bool reply = t.reply_slab != DescriptorSlabPool::kNoSlab;
   const std::uint32_t reply_size = core_.on_request(
       t.node, t.node, t.peer, t.exchange_id, payload,
-      reply ? pool_.data(t.reply_slab) : nullptr, lane.scratch, lane.forged,
-      ticks_);
+      reply ? pool_.data(t.reply_slab) : nullptr, lane.scratch, ticks_);
   // Distinct slabs own distinct size-table entries, so concurrent set_size
   // calls never share a location (no acquire can run here).
   if (reply) pool_.set_size(t.reply_slab, reply_size);

@@ -18,7 +18,6 @@ namespace {
 struct Workspace {
   flat::Scratch scratch;
   std::vector<std::byte> bytes;  ///< encoded frame; send() copies it out
-  std::vector<NodeDescriptor> forged;  ///< core's forge staging (no tamper)
 };
 
 Workspace& workspace(std::size_t view_size) {
@@ -110,7 +109,7 @@ void ServiceNode::send_request(const sim::ExchangeRequest& request) {
   frame.tick = tick_;
   frame.exchange_id = request.id;
   frame.entries = flat::DescSpan(
-      buffer, core_.write_request(slot_, self_, request, buffer, ws.forged));
+      buffer, core_.write_request(slot_, self_, request, buffer, ws.scratch));
   codec_.encode(frame, ws.bytes);
   ++stats_.requests_sent;
   transport_->send(request.peer, ws.bytes);
@@ -153,7 +152,7 @@ void ServiceNode::handle_request_frame(const ParsedFrame& frame) {
   NodeDescriptor* reply_out = pull ? ws.scratch.reply.data() : nullptr;
   const std::uint32_t reply_size =
       core_.on_request(slot_, self_, frame.from, frame.exchange_id,
-                       frame.entries, reply_out, ws.scratch, ws.forged, tick_);
+                       frame.entries, reply_out, ws.scratch, tick_);
   if (!pull) return;
   WireFrame reply;
   reply.type = FrameType::kReply;

@@ -479,19 +479,6 @@ TEST(TraceProbeParallel, SpanCountsMatchAcrossAsyncDrivers) {
   }
 }
 
-TEST(TraceProbeParallel, RelaxedPolicyRecordsConcurrently) {
-  // Relaxed runs are not digest-stable, so no triple here — this pins the
-  // thread-safety claim instead: lanes record through the tee into the
-  // spinlocked ring and the atomic histograms without racing (TSan job).
-  sim::Network net = make_net(500);
-  sim::ParallelCycleEngine engine(net, {4, sim::ParallelPolicy::kRelaxed});
-  Kit kit(/*armed=*/true);
-  engine.attach_trace(kit.tee);
-  engine.run(10);
-  EXPECT_GT(kit.recorder.total_recorded(), 0u);
-  EXPECT_GT(kit.profiler.count(sim::TracePhase::kMergeApply), 0u);
-}
-
 // ---- 4. pull endpoint -------------------------------------------------------
 
 std::string http_get(std::uint16_t port) {
