@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "pss/common/check.hpp"
+#include "pss/membership/flat_ops.hpp"
 #include "pss/stats/descriptive.hpp"
 
 namespace pss::apps {
@@ -83,9 +84,9 @@ AggregationResult run_averaging_over_gossip(sim::Network& network,
   std::vector<std::uint32_t> index_of(network.size(), 0);
   for (std::uint32_t i = 0; i < live.size(); ++i) index_of[live[i]] = i;
   auto partner = [&](std::size_t i) -> std::size_t {
-    const View& view = network.node(live[i]).view();
+    const flat::DescSpan view = network.view_span(live[i]);
     if (view.empty()) return live.size();  // skip
-    const NodeId target = view.peer_rand(rng);
+    const NodeId target = flat::peer_rand(view, rng);
     if (!network.is_live(target)) return live.size();
     return index_of[target];
   };

@@ -3,6 +3,7 @@
 #include <functional>
 
 #include "pss/common/check.hpp"
+#include "pss/membership/flat_ops.hpp"
 #include "pss/service/ideal_uniform_sampler.hpp"
 
 namespace pss::apps {
@@ -67,9 +68,9 @@ BroadcastResult run_broadcast_over_gossip(sim::Network& network,
 
   auto sample = [&](NodeId holder_index) -> NodeId {
     const NodeId holder = live[holder_index];
-    const View& view = network.node(holder).view();
+    const flat::DescSpan view = network.view_span(holder);
     if (view.empty()) return kInvalidNode;
-    const NodeId target = view.peer_rand(rng);
+    const NodeId target = flat::peer_rand(view, rng);
     if (!network.is_live(target)) return kInvalidNode;  // dead link: lost
     return index_of[target];
   };

@@ -99,8 +99,10 @@ void PullEndpoint::serve_loop() {
       if (n <= 0) break;
       sent += static_cast<std::size_t>(n);
     }
-    ::close(client);
+    // Count before closing: a client that has read the whole response
+    // must already see its scrape in requests_served().
     served_.fetch_add(1, std::memory_order_relaxed);
+    ::close(client);
   }
 }
 

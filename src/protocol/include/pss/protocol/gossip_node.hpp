@@ -87,8 +87,8 @@ class GossipNode {
   const NodeStats& stats() const { return arena_->stats[slot_]; }
 
   /// The node's current view, materialized from the flat slot and cached
-  /// until the slot changes. Inspection-path only — the engines never call
-  /// this.
+  /// until the slot changes. Inspection-path only: neither the engines nor
+  /// PeerSamplingService call this; they read view_span().
   const View& view() const;
 
   /// Zero-copy access to the flat slot (sorted, duplicate-free entries).

@@ -1,5 +1,9 @@
 #include "pss/service/peer_sampling_service.hpp"
 
+#include <algorithm>
+
+#include "pss/membership/flat_ops.hpp"
+
 namespace pss {
 
 PeerSamplingService::PeerSamplingService(GossipNode& node, Rng rng,
@@ -16,28 +20,31 @@ void PeerSamplingService::init(std::span<const NodeId> contacts) {
 }
 
 NodeId PeerSamplingService::pop_from_queue() {
-  const View& view = node_->view();
+  const flat::DescSpan view = node_->view_span();
   // Drop queued addresses that have since left the view; refill from a
-  // shuffled copy of the live view when drained.
+  // shuffled copy of the live view when drained. get_peer() has refused an
+  // empty view, so every refill holds a member and the loop ends.
   while (true) {
     if (queue_.empty()) {
       queue_.reserve(view.size());
-      for (const auto& d : view.entries()) queue_.push_back(d.address);
+      for (const NodeDescriptor& d : view) queue_.push_back(d.address);
       rng_.shuffle(queue_);
     }
     const NodeId candidate = queue_.back();
     queue_.pop_back();
-    if (view.contains(candidate)) return candidate;
-    if (queue_.empty() && view.empty()) return kInvalidNode;
+    if (std::ranges::find(view, candidate, &NodeDescriptor::address) !=
+        view.end()) {
+      return candidate;
+    }
   }
 }
 
 NodeId PeerSamplingService::get_peer() {
-  const View& view = node_->view();
+  const flat::DescSpan view = node_->view_span();
   if (view.empty()) return kInvalidNode;
   switch (strategy_) {
     case GetPeerStrategy::kUniformFromView:
-      return view.peer_rand(rng_);
+      return flat::peer_rand(view, rng_);
     case GetPeerStrategy::kShuffledQueue:
       return pop_from_queue();
   }

@@ -95,7 +95,8 @@ bool decode_protocol(std::uint8_t id, ProtocolSpec& out);
 
 // One codec per node (or per driver thread): decode reuses internal
 // buffers, so parsed entry spans are invalidated by the next decode and
-// the codec is not thread-safe.
+// the codec is not thread-safe. decode checks the records in one pass; its
+// duplicate-address table is one per thread, shared by every codec there.
 class WireCodec {
  public:
   static constexpr std::size_t kHeaderBytes = 28;
@@ -128,7 +129,6 @@ class WireCodec {
  private:
   std::size_t max_entries_;
   std::vector<NodeDescriptor> entries_;
-  std::vector<NodeId> addr_scratch_;
 };
 
 }  // namespace pss::transport

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "get_peer_oracle.hpp"
 #include "pss/service/ideal_uniform_sampler.hpp"
 #include "pss/service/peer_sampling_service.hpp"
 #include "pss/sim/bootstrap.hpp"
@@ -135,6 +136,25 @@ TEST(PeerSamplingService, WorksOverRunningOverlay) {
   EXPECT_GT(seen.size(), 20u);
   EXPECT_FALSE(seen.contains(0));       // never returns the node itself
   EXPECT_FALSE(seen.contains(kInvalidNode));
+}
+
+TEST(PeerSamplingService, OutputMatchesViewOracleOverRunningOverlay) {
+  // Both strategies read the arena slot in place; the View-based oracle
+  // with a cloned Rng pins every returned peer, call for call, while the
+  // views change under it. 13 draws per cycle at c = 10 make the queue
+  // refill mid-cycle and skip addresses the last cycle evicted.
+  auto net = sim::bootstrap::make_random(ProtocolSpec::newscast(),
+                                         ProtocolOptions{10, false}, 200, 13);
+  sim::CycleEngine engine(net);
+  std::vector<GossipNode*> nodes;
+  for (NodeId id = 0; id < 200; id += 25) nodes.push_back(&net.node(id));
+  const auto outputs = expect_get_peer_matches_view_oracle(
+      nodes, [&] { engine.run_cycle(); }, /*cycles=*/20, /*draws=*/13,
+      /*seed=*/0x6E7CEE5);
+  ASSERT_EQ(outputs.size(), 2u * nodes.size() * 20 * 13);
+  const std::set<NodeId> distinct(outputs.begin(), outputs.end());
+  EXPECT_GT(distinct.size(), 100u);
+  EXPECT_FALSE(distinct.contains(kInvalidNode));
 }
 
 TEST(IdealUniformSampler, NeverReturnsSelfAndCoversGroup) {

@@ -19,10 +19,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <thread>
 #include <unistd.h>
 #include <vector>
 
+#include "get_peer_oracle.hpp"
 #include "pss/common/rng.hpp"
 #include "pss/scenarios/digest.hpp"
 #include "pss/service/peer_sampling_service.hpp"
@@ -383,6 +385,22 @@ TEST(ServiceNodeUnit, PeerSamplingServiceRunsOverTransportView) {
   }
   const NodeId peer = service.get_peer();
   EXPECT_EQ(peer, 2u);  // the only other member
+
+  // Over a LoopbackDriver overlay the services read the slots the
+  // ServiceNodes maintain (slot == address), and return, call for call,
+  // what the View-based oracle returns with a cloned Rng.
+  const ProtocolOptions options{10, false};
+  Network net = sim::bootstrap::make_random(ProtocolSpec::newscast(), options,
+                                            120, 0x5E2F0009);
+  LoopbackTransport overlay_bus({}, net.rng());
+  LoopbackDriver driver(net, overlay_bus);
+  std::vector<GossipNode*> nodes;
+  for (NodeId id = 0; id < 120; id += 15) nodes.push_back(&net.node(id));
+  const auto outputs = expect_get_peer_matches_view_oracle(
+      nodes, [&] { driver.run_cycles(1); }, /*cycles=*/20, /*draws=*/13,
+      /*seed=*/0x5E2F000A);
+  EXPECT_GT(driver.engine_stats().replies_delivered, 0u);
+  EXPECT_GT(std::set<NodeId>(outputs.begin(), outputs.end()).size(), 60u);
 }
 
 TEST(ServiceNodeUnit, ReplyFromUnaskedPeerIsStale) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 #include <vector>
 
 #include "pss/common/rng.hpp"
@@ -73,8 +74,10 @@ WireError decode_tight(WireCodec& codec, const std::vector<std::byte>& bytes,
 TEST(WireCodec, RoundtripAllProtocolsAndSizes) {
   Rng rng(0xC0DEC001);
   for (const ProtocolSpec& spec : ProtocolSpec::all()) {
-    for (std::size_t view_size :
-         {std::size_t{1}, std::size_t{4}, std::size_t{30}}) {
+    // 200: a 201-record frame outgrows flat::AddressSet::kMaxEntries, and
+    // the daemon takes c from its command line, so such frames are legal.
+    for (std::size_t view_size : {std::size_t{1}, std::size_t{4},
+                                  std::size_t{30}, std::size_t{200}}) {
       WireCodec codec(view_size);
       for (std::size_t n : {std::size_t{0}, std::size_t{1}, view_size,
                             view_size + 1}) {
@@ -318,6 +321,126 @@ TEST_F(WireCodecMalformed, OversizedPayloadWithMatchingLengthRejected) {
   wide.encode(make_frame(big), bytes);
   ParsedFrame out;
   EXPECT_EQ(decode_tight(codec_, bytes, out), WireError::kOversized);
+}
+
+// The record checks decode ran before its one-pass rewrite, kept as the
+// oracle: a sentinel anywhere first, then adjacent (age, address) order,
+// then a sorted copy of the addresses for duplicates.
+WireError reference_record_verdict(const std::vector<NodeDescriptor>& records) {
+  for (const NodeDescriptor& d : records) {
+    if (d.address == kInvalidNode) return WireError::kBadDescriptor;
+  }
+  for (std::size_t i = 0; i + 1 < records.size(); ++i) {
+    if (flat::detail::sort_key(records[i]) >=
+        flat::detail::sort_key(records[i + 1])) {
+      return WireError::kNotNormalized;
+    }
+  }
+  std::vector<NodeId> addrs;
+  for (const NodeDescriptor& d : records) addrs.push_back(d.address);
+  std::sort(addrs.begin(), addrs.end());
+  if (std::adjacent_find(addrs.begin(), addrs.end()) != addrs.end()) {
+    return WireError::kNotNormalized;
+  }
+  return WireError::kOk;
+}
+
+// A valid frame of records.size() records with the payload overwritten by
+// `records` byte for byte: encode() refuses to write a faulty payload.
+std::vector<std::byte> splice_records(
+    const WireCodec& codec, const std::vector<NodeDescriptor>& records) {
+  std::vector<NodeDescriptor> filler;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    filler.push_back(NodeDescriptor{static_cast<NodeId>(i + 1), 0});
+  }
+  std::vector<std::byte> bytes;
+  codec.encode(make_frame(filler), bytes);
+  std::size_t off = WireCodec::kHeaderBytes;
+  for (const NodeDescriptor& d : records) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      bytes[off + b] = static_cast<std::byte>((d.address >> (8 * b)) & 0xFF);
+      bytes[off + 4 + b] =
+          static_cast<std::byte>((d.hop_count >> (8 * b)) & 0xFF);
+    }
+    off += WireCodec::kRecordBytes;
+  }
+  return bytes;
+}
+
+TEST(WireCodecFuzz, VerdictMatchesReferenceChecker) {
+  // 12000 seeded frames at c in {1, 4, 30, 200}: each starts normalized,
+  // then independently gets a sentinel address, an adjacent swap and the
+  // same address at two ages, at random positions. decode's one-pass
+  // verdict must equal the copy-and-sort oracle's, and an accepted frame
+  // must carry its records unchanged.
+  {
+    // Pinned first: records out of order before a sentinel are rejected
+    // for the sentinel, which outranks disorder.
+    WireCodec codec(8);
+    const std::vector<NodeDescriptor> records = {
+        {9, 2}, {4, 1}, {4, 3}, {kInvalidNode, 5}};
+    ASSERT_EQ(reference_record_verdict(records), WireError::kBadDescriptor);
+    ParsedFrame parsed;
+    EXPECT_EQ(decode_tight(codec, splice_records(codec, records), parsed),
+              WireError::kBadDescriptor);
+  }
+  Rng rng(0xF0220009);
+  std::size_t verdicts[3] = {0, 0, 0};  // ok, bad descriptor, not normalized
+  for (const std::size_t c :
+       {std::size_t{1}, std::size_t{4}, std::size_t{30}, std::size_t{200}}) {
+    WireCodec codec(c);
+    for (int frame = 0; frame < 3000; ++frame) {
+      const std::size_t n = rng.below(codec.max_entries() + 1);
+      // Small address pools and few ages make collisions and ties common;
+      // the full range exercises the hash with wide addresses.
+      const std::uint32_t pool =
+          rng.below(2) == 0 ? static_cast<std::uint32_t>(4 * n + 8)
+                            : kInvalidNode;
+      std::vector<NodeDescriptor> records;
+      std::set<NodeId> used;
+      while (records.size() < n) {
+        const NodeId a = static_cast<NodeId>(rng.below(pool));
+        if (!used.insert(a).second) continue;
+        records.push_back({a, static_cast<HopCount>(rng.below(6))});
+      }
+      flat::normalize(records);
+      if (n >= 1 && rng.below(5) == 0) {
+        records[rng.below(n)].address = kInvalidNode;
+      }
+      if (n >= 2 && rng.below(4) == 0) {
+        const std::size_t i = rng.below(n - 1);
+        std::swap(records[i], records[i + 1]);
+      }
+      if (n >= 2 && rng.below(3) == 0) {
+        const std::size_t i = rng.below(n);
+        std::size_t j = rng.below(n - 1);
+        if (j >= i) ++j;
+        records[j].address = records[i].address;
+        records[j].hop_count =
+            records[i].hop_count + 1 + static_cast<HopCount>(rng.below(3));
+        // Half the time restore key order, so only the address check can
+        // catch the repeat.
+        if (rng.below(2) == 0) {
+          std::sort(records.begin(), records.end(), ByHopThenAddress{});
+        }
+      }
+      const WireError expected = reference_record_verdict(records);
+      ParsedFrame parsed;
+      ASSERT_EQ(decode_tight(codec, splice_records(codec, records), parsed),
+                expected)
+          << "c=" << c << " frame " << frame << " n=" << n;
+      if (expected == WireError::kOk) {
+        ASSERT_EQ(parsed.entries.size(), records.size());
+        EXPECT_TRUE(std::equal(records.begin(), records.end(),
+                               parsed.entries.begin()));
+        ++verdicts[0];
+      } else {
+        ++verdicts[expected == WireError::kBadDescriptor ? 1 : 2];
+      }
+    }
+  }
+  // Every verdict class occurs often, so none is compared vacuously.
+  for (const std::size_t count : verdicts) EXPECT_GT(count, 1000u);
 }
 
 TEST(WireCodecFuzz, RandomBytesNeverParseUnsafely) {
