@@ -12,7 +12,6 @@
 #include "pss/graph/metrics.hpp"
 #include "pss/graph/undirected_graph.hpp"
 #include "pss/membership/flat_ops.hpp"
-#include "pss/membership/simd.hpp"
 #include "pss/membership/view.hpp"
 #include "pss/protocol/flat_exchange.hpp"
 #include "pss/protocol/gossip_node.hpp"
@@ -75,105 +74,127 @@ void BM_PushPullExchange(benchmark::State& state) {
 }
 BENCHMARK(BM_PushPullExchange);
 
+// --- Flat exchange kernels on a warmed overlay -----------------------------
+// Inputs come from a converged 1000-node Newscast overlay: for each of 1024
+// random (active, passive) pairs, the active node's buffer (its view plus
+// itself) and the passive node's view. Each iteration takes the next pair,
+// so the branch predictor cannot learn one merge: on a single repeated
+// input the kernels read several times faster than they run inside an
+// engine (docs/PERFORMANCE.md).
+
+struct ExchangeInputs {
+  static constexpr std::size_t kPairs = 1024;
+  std::vector<std::vector<NodeDescriptor>> buffers;  ///< active side
+  std::vector<std::vector<NodeDescriptor>> views;    ///< passive side
+  std::vector<NodeId> passives;
+};
+
+sim::Network warmed_overlay() {
+  auto net = sim::bootstrap::make_random(ProtocolSpec::newscast(),
+                                         ProtocolOptions{30, false}, 1000, 42);
+  sim::CycleEngine warm(net);
+  warm.run(5);
+  return net;
+}
+
+ExchangeInputs draw_inputs(const sim::Network& net) {
+  ExchangeInputs in;
+  Rng rng(14);
+  while (in.passives.size() < ExchangeInputs::kPairs) {
+    const auto active = static_cast<NodeId>(rng.below(net.size()));
+    const auto passive = static_cast<NodeId>(rng.below(net.size()));
+    if (active == passive) continue;
+    std::vector<NodeDescriptor> buffer(net.view_span(active).size() + 1);
+    buffer.resize(flat::write_active_buffer(net.view_span(active), active,
+                                            true, buffer.data()));
+    in.buffers.push_back(std::move(buffer));
+    in.views.emplace_back(net.view_span(passive).begin(),
+                          net.view_span(passive).end());
+    in.passives.push_back(passive);
+  }
+  return in;
+}
+
 void BM_FlatMergeSelectHead(benchmark::State& state) {
   // The fused streaming kernel behind every (.,head,.) absorb — compare
   // with BM_ViewMerge + BM_ViewSelectHeadUnbiased, which together are the
-  // object-graph algebra it replaces. Arg is the SIMD tier: 0 = scalar
-  // oracle, 1 = the CPU's detected tier (same code the engines dispatch
-  // to), so the pair reads as the vectorization speedup of the kernel.
-  simd::set_level_for_testing(state.range(0) == 0 ? simd::Level::kScalar
-                                                  : simd::detected_level());
-  const View a = make_view(31, 11);
-  const View b = make_view(30, 12);
+  // object-graph algebra it replaces.
+  const ExchangeInputs in = draw_inputs(warmed_overlay());
   Rng rng(13);
   flat::Scratch scratch;
   std::vector<NodeDescriptor> out;
+  std::size_t i = 0;
   for (auto _ : state) {
-    flat::merge_select_head(a.entries(), b.entries(), 7, 30, rng, out, scratch,
-                            /*age_a=*/1);
+    flat::merge_select_head(in.buffers[i], in.views[i], in.passives[i], 30,
+                            rng, out, scratch, /*age_a=*/1);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    i = (i + 1) % ExchangeInputs::kPairs;
   }
-  simd::set_level_for_testing(simd::detected_level());
 }
-BENCHMARK(BM_FlatMergeSelectHead)->Arg(0)->Arg(1);
+BENCHMARK(BM_FlatMergeSelectHead);
 
-// --- Scalar vs SIMD on the event-engine absorb kernels ----------------------
-// The slab-based request/reply handlers ParallelEventEngine's W-parts run,
-// on realistic converged inputs: Arg 0 pins the scalar reference, Arg 1
-// dispatches the detected tier. FlatViewStore state is re-assigned each
-// iteration so every absorb sees the same input (the kernel mutates the
-// slot), which prices the kernel itself, not a drifting view.
+// The slab-based request/reply handlers the event engines run. Each
+// iteration restores the passive slot to its drawn view first (the kernel
+// mutates it), which prices the kernel itself, not a drifting view.
 
 void BM_FlatHandleRequest(benchmark::State& state) {
-  simd::set_level_for_testing(state.range(0) == 0 ? simd::Level::kScalar
-                                                  : simd::detected_level());
-  auto net = sim::bootstrap::make_random(ProtocolSpec::newscast(),
-                                         ProtocolOptions{30, false}, 1000, 42);
-  sim::CycleEngine warm(net);
-  warm.run(5);
+  auto net = warmed_overlay();
+  const ExchangeInputs in = draw_inputs(net);
   auto& arena = net.arena();
-  // A converged active buffer: node 1's view plus itself.
-  std::vector<NodeDescriptor> request(31);
-  const std::uint32_t req_n = flat::write_active_buffer(
-      net.view_span(1), 1, true, request.data());
   std::vector<NodeDescriptor> reply(31);
-  std::vector<NodeDescriptor> snapshot(net.view_span(0).begin(),
-                                       net.view_span(0).end());
   flat::Scratch scratch;
+  std::size_t i = 0;
   for (auto _ : state) {
-    arena.views.assign(0, snapshot);
-    benchmark::DoNotOptimize(flat::handle_request(arena, 0, 0, request.data(),
-                                                  req_n, reply.data(),
-                                                  net.spec(), net.options(),
-                                                  scratch));
+    const NodeId passive = in.passives[i];
+    arena.views.assign(passive, in.views[i]);
+    benchmark::DoNotOptimize(flat::handle_request(
+        arena, passive, passive, in.buffers[i].data(),
+        static_cast<std::uint32_t>(in.buffers[i].size()), reply.data(),
+        net.spec(), net.options(), scratch));
+    benchmark::ClobberMemory();
+    i = (i + 1) % ExchangeInputs::kPairs;
   }
-  simd::set_level_for_testing(simd::detected_level());
 }
-BENCHMARK(BM_FlatHandleRequest)->Arg(0)->Arg(1);
+BENCHMARK(BM_FlatHandleRequest);
 
 void BM_FlatHandleReply(benchmark::State& state) {
-  simd::set_level_for_testing(state.range(0) == 0 ? simd::Level::kScalar
-                                                  : simd::detected_level());
-  auto net = sim::bootstrap::make_random(ProtocolSpec::newscast(),
-                                         ProtocolOptions{30, false}, 1000, 42);
-  sim::CycleEngine warm(net);
-  warm.run(5);
+  auto net = warmed_overlay();
+  const ExchangeInputs in = draw_inputs(net);
   auto& arena = net.arena();
-  std::vector<NodeDescriptor> reply(31);
-  const std::uint32_t reply_n = flat::write_active_buffer(
-      net.view_span(1), 1, true, reply.data());
-  std::vector<NodeDescriptor> snapshot(net.view_span(0).begin(),
-                                       net.view_span(0).end());
   flat::Scratch scratch;
+  std::size_t i = 0;
   for (auto _ : state) {
-    arena.views.assign(0, snapshot);
-    flat::absorb(arena.views, 0, 0, net.spec(), net.options(),
-                 flat::DescSpan(reply.data(), reply_n), arena.rngs[0], scratch,
+    // The drawn buffer doubles as a pull reply absorbed by the other node.
+    const NodeId node = in.passives[i];
+    arena.views.assign(node, in.views[i]);
+    flat::absorb(arena.views, node, node, net.spec(), net.options(),
+                 in.buffers[i], arena.rngs[node], scratch,
                  /*age_incoming=*/1);
-    benchmark::DoNotOptimize(arena.views.view_of(0).data());
+    benchmark::DoNotOptimize(arena.views.view_of(node).data());
+    benchmark::ClobberMemory();
+    i = (i + 1) % ExchangeInputs::kPairs;
   }
-  simd::set_level_for_testing(simd::detected_level());
 }
-BENCHMARK(BM_FlatHandleReply)->Arg(0)->Arg(1);
+BENCHMARK(BM_FlatHandleReply);
 
-void BM_SimdAgeWriteBoth(benchmark::State& state) {
-  // The fused wakeup kernel (age slot in place + stream aged copy): Arg 0
-  // scalar, Arg 1 detected tier.
-  simd::set_level_for_testing(state.range(0) == 0 ? simd::Level::kScalar
-                                                  : simd::detected_level());
+void BM_FlatAgeAndCopy(benchmark::State& state) {
+  // The fused wakeup kernel: age a slot in place while streaming the aged
+  // entries out.
+  FlatViewStore store(30);
+  const NodeId slot = store.add_node();
   std::vector<NodeDescriptor> view(30), out(30);
-  Rng rng(21);
-  for (auto& d : view) {
-    d = {static_cast<NodeId>(rng.below(1000)),
-         static_cast<HopCount>(rng.below(8))};
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    view[i] = {static_cast<NodeId>(i), 0};
   }
+  store.assign(slot, view);
   for (auto _ : state) {
-    simd::age_write_both(view.data(), out.data(), view.size());
+    benchmark::DoNotOptimize(store.age_and_copy(slot, out.data()));
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  simd::set_level_for_testing(simd::detected_level());
 }
-BENCHMARK(BM_SimdAgeWriteBoth)->Arg(0)->Arg(1);
+BENCHMARK(BM_FlatAgeAndCopy);
 
 // --- Scheduler: calendar queue vs. binary heap -----------------------------
 // The classic "hold" model at event-engine scale: a pending set of `n`

@@ -1,15 +1,14 @@
 // Scale driver for the flat asynchronous engines: events/second, memory and
 // steady-state allocation behavior at N ∈ {10^4, 10^5, 10^6}, swept over a
-// thread ladder × {scalar, simd} kernel matrix, plus the recorded speedup
-// over the frozen LegacyEventEngine baseline.
+// thread ladder, plus the recorded speedup over the frozen
+// LegacyEventEngine baseline.
 //
 // This is the async counterpart of scale_million_nodes: the same Newscast
 // instance and random bootstrap, but driven through the discrete-event
 // message layer (per-message latency, drop probability, reply timeouts)
-// instead of atomic cycles. Each cell of the matrix runs the identical
+// instead of atomic cycles. Each cell of the ladder runs the identical
 // scenario from a fresh bootstrap: the sequential EventEngine (threads = 0
-// in the output) and the ParallelEventEngine at each ladder entry, under
-// the scalar kernels and under the best SIMD tier the CPU reports. Each
+// in the output) and the ParallelEventEngine at each ladder entry. Each
 // run warms the engine for a few periods — letting the calendar queue,
 // message pool and scratch buffers reach their high-water marks — then
 // measures a timed window, counting every global operator new/delete in
@@ -18,11 +17,10 @@
 //
 // Digest gate: every cell must end in the bit-identical network state —
 // the FNV state digest (views, liveness, per-node stats, Rng probes) of
-// each run is compared against the scalar sequential reference, and any
-// divergence across thread counts or kernel tiers makes the driver exit
-// non-zero ("digest_ok": false). This is the ParallelEventEngine
-// Deterministic contract and the SIMD dispatch contract enforced at the
-// scale the test suite cannot reach.
+// each run is compared against the sequential reference, and any
+// divergence across thread counts makes the driver exit non-zero
+// ("digest_ok": false). This is the ParallelEventEngine Deterministic
+// contract enforced at the scale the test suite cannot reach.
 //
 // The legacy baseline (heap-of-Views object-graph engine) runs the same
 // scenario where it is feasible (it is the 10^4-capped engine this driver
@@ -32,7 +30,6 @@
 // Knobs (see docs/PERFORMANCE.md):
 //   PSS_ASYNC_NS      comma-separated network sizes (default 10000,100000,1000000)
 //   PSS_ASYNC_THREADS comma-separated parallel-engine lane counts (default 1,2,4)
-//   PSS_ASYNC_KERNELS "both" (default), "scalar", "simd"
 //   PSS_PERIODS       measured periods per run            (default 20)
 //   PSS_WARMUP        warm-up periods before measuring    (default 5)
 //   PSS_C             view size c                         (default 30)
@@ -50,7 +47,6 @@
 
 #include "bench_meta.hpp"
 #include "pss/common/env.hpp"
-#include "pss/membership/simd.hpp"
 #include "pss/obs/run_recorder.hpp"
 #include "pss/scenarios/digest.hpp"
 #include "pss/sim/bootstrap.hpp"
@@ -127,24 +123,11 @@ std::uint64_t events_processed(const pss::sim::EventEngineStats& s) {
   return s.wakeups + (s.messages_sent - s.messages_dropped);
 }
 
-const char* level_name(pss::simd::Level level) {
-  switch (level) {
-    case pss::simd::Level::kScalar:
-      return "scalar";
-    case pss::simd::Level::kSSE2:
-      return "sse2";
-    case pss::simd::Level::kAVX2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-/// One matrix cell: engine ∈ {flat sequential (threads = 0), parallel at a
-/// ladder entry, legacy baseline}, under one kernel tier.
+/// One cell: engine ∈ {flat sequential (threads = 0), parallel at a ladder
+/// entry, legacy baseline}.
 struct RunResult {
   std::size_t n = 0;
   std::string engine;    ///< "flat", "parallel", "legacy"
-  std::string kernel;    ///< "scalar", "sse2", "avx2" ("-" for legacy)
   unsigned threads = 0;  ///< 0 for the sequential engines
   double setup_seconds = 0;
   double run_seconds = 0;
@@ -217,8 +200,6 @@ int main() {
                   "PSS_ASYNC_NS");
   const auto ladder = parse_sizes(
       env::get("PSS_ASYNC_THREADS").value_or("1,2,4"), "PSS_ASYNC_THREADS");
-  const std::string kernel_mode =
-      env::get("PSS_ASYNC_KERNELS").value_or("both");
   const auto periods = static_cast<std::size_t>(env::get_int("PSS_PERIODS", 20));
   const auto warmup = static_cast<std::size_t>(env::get_int("PSS_WARMUP", 5));
   const auto c = static_cast<std::size_t>(env::get_int("PSS_C", 30));
@@ -229,21 +210,6 @@ int main() {
   const std::string out_path =
       env::get("PSS_ASYNC_JSON").value_or("BENCH_async.json");
 
-  // Kernel tiers for the matrix: scalar always; the "simd" leg is whatever
-  // the CPU detected (skipped when detection says scalar — e.g. under
-  // PSS_FORCE_SCALAR — rather than silently measured twice).
-  std::vector<simd::Level> kernels;
-  if (kernel_mode == "scalar") {
-    kernels = {simd::Level::kScalar};
-  } else if (kernel_mode == "simd") {
-    kernels = {simd::detected_level()};
-  } else {
-    kernels = {simd::Level::kScalar};
-    if (simd::detected_level() != simd::Level::kScalar) {
-      kernels.push_back(simd::detected_level());
-    }
-  }
-
   const ProtocolSpec spec = ProtocolSpec::newscast();
   sim::EventEngineConfig cfg;
   cfg.drop_probability = drop;
@@ -252,10 +218,9 @@ int main() {
   bool digest_ok = true;
   std::printf(
       "scale_async: spec=%s c=%zu periods=%zu warmup=%zu drop=%.2f seed=%llu "
-      "simd=%s threads={",
+      "threads={",
       spec.name().c_str(), c, periods, warmup, drop,
-      static_cast<unsigned long long>(seed),
-      level_name(simd::detected_level()));
+      static_cast<unsigned long long>(seed));
   for (std::size_t i = 0; i < ladder.size(); ++i) {
     std::printf("%s%zu", i ? "," : "", ladder[i]);
   }
@@ -263,71 +228,57 @@ int main() {
 
   const auto no_harvest = [](const auto&) {};
   for (const std::size_t n : sizes) {
-    std::uint64_t reference_digest = 0;
-    bool have_reference = false;
-    for (const simd::Level kernel : kernels) {
-      simd::set_level_for_testing(kernel);
-      // Sequential engine under this kernel tier.
-      RunResult seq;
-      seq.n = n;
-      seq.engine = "flat";
-      seq.kernel = level_name(kernel);
-      seq.gated = true;
-      run_cell<sim::EventEngine>(seq, spec, c, seed, cfg, warmup, periods,
-                                 no_harvest);
-      if (!have_reference) {
-        reference_digest = seq.digest;  // scalar sequential = the oracle
-        have_reference = true;
-      }
+    RunResult seq;
+    seq.n = n;
+    seq.engine = "flat";
+    seq.gated = true;
+    run_cell<sim::EventEngine>(seq, spec, c, seed, cfg, warmup, periods,
+                               no_harvest);
+    const std::uint64_t reference_digest = seq.digest;
+    std::printf(
+        "  n=%-8zu flat               setup=%6.2fs run=%6.2fs %10.0f ev/s  "
+        "%6.1f B/node  steady_allocs=%llu  digest=%016llx\n",
+        n, seq.setup_seconds, seq.run_seconds, seq.events_per_second,
+        seq.bytes_per_node,
+        static_cast<unsigned long long>(seq.steady_allocations),
+        static_cast<unsigned long long>(seq.digest));
+    results.push_back(seq);
+
+    for (const std::size_t threads : ladder) {
+      RunResult par;
+      par.n = n;
+      par.engine = "parallel";
+      par.threads = static_cast<unsigned>(threads);
+      par.gated = true;
+      run_cell<sim::ParallelEventEngine>(
+          par, spec, c, seed, cfg, warmup, periods,
+          [&par](const sim::ParallelEventEngine& e) {
+            par.windows = e.windows();
+            par.deferred_tasks = e.deferred_tasks();
+            par.pooled_tasks = e.pooled_tasks();
+          },
+          static_cast<unsigned>(threads));
       std::printf(
-          "  n=%-8zu flat/%-6s        setup=%6.2fs run=%6.2fs %10.0f ev/s  "
-          "%6.1f B/node  steady_allocs=%llu  digest=%016llx\n",
-          n, seq.kernel.c_str(), seq.setup_seconds, seq.run_seconds,
-          seq.events_per_second, seq.bytes_per_node,
-          static_cast<unsigned long long>(seq.steady_allocations),
-          static_cast<unsigned long long>(seq.digest));
-      results.push_back(seq);
-
-      // Parallel engine ladder under this kernel tier.
-      for (const std::size_t threads : ladder) {
-        RunResult par;
-        par.n = n;
-        par.engine = "parallel";
-        par.kernel = level_name(kernel);
-        par.threads = static_cast<unsigned>(threads);
-        par.gated = true;
-        run_cell<sim::ParallelEventEngine>(
-            par, spec, c, seed, cfg, warmup, periods,
-            [&par](const sim::ParallelEventEngine& e) {
-              par.windows = e.windows();
-              par.deferred_tasks = e.deferred_tasks();
-              par.pooled_tasks = e.pooled_tasks();
-            },
-            static_cast<unsigned>(threads));
-        std::printf(
-            "  n=%-8zu parallel/%-6s t=%zu  run=%6.2fs %10.0f ev/s  "
-            "windows=%llu deferred=%llu pooled=%llu  digest=%016llx\n",
-            n, par.kernel.c_str(), threads, par.run_seconds,
-            par.events_per_second,
-            static_cast<unsigned long long>(par.windows),
-            static_cast<unsigned long long>(par.deferred_tasks),
-            static_cast<unsigned long long>(par.pooled_tasks),
-            static_cast<unsigned long long>(par.digest));
-        results.push_back(par);
-      }
+          "  n=%-8zu parallel t=%-3zu       run=%6.2fs %10.0f ev/s  "
+          "windows=%llu deferred=%llu pooled=%llu  digest=%016llx\n",
+          n, threads, par.run_seconds, par.events_per_second,
+          static_cast<unsigned long long>(par.windows),
+          static_cast<unsigned long long>(par.deferred_tasks),
+          static_cast<unsigned long long>(par.pooled_tasks),
+          static_cast<unsigned long long>(par.digest));
+      results.push_back(par);
     }
-    simd::set_level_for_testing(simd::detected_level());
 
-    // The gate: every flat/parallel cell of this n must match the scalar
-    // sequential reference bit for bit.
+    // The gate: every parallel cell of this n must match the sequential
+    // reference bit for bit.
     for (const RunResult& r : results) {
       if (r.n != n || !r.gated) continue;
       if (r.digest != reference_digest) {
         digest_ok = false;
         std::fprintf(stderr,
-                     "DIGEST MISMATCH n=%zu engine=%s kernel=%s threads=%u: "
+                     "DIGEST MISMATCH n=%zu engine=%s threads=%u: "
                      "%016llx != reference %016llx\n",
-                     n, r.engine.c_str(), r.kernel.c_str(), r.threads,
+                     n, r.engine.c_str(), r.threads,
                      static_cast<unsigned long long>(r.digest),
                      static_cast<unsigned long long>(reference_digest));
       }
@@ -339,7 +290,6 @@ int main() {
       RunResult legacy;
       legacy.n = n;
       legacy.engine = "legacy";
-      legacy.kernel = "-";
       run_cell<sim::LegacyEventEngine>(legacy, spec, c, seed, cfg, warmup,
                                        periods, no_harvest);
       legacy.digest = 0;  // outside the gate: frozen baseline, own arena
@@ -359,7 +309,7 @@ int main() {
 
   const std::string spec_name = spec.name();
   obs::RunRecorder rec(
-      "scale_async", 1,
+      "scale_async", 2,
       bench::make_run_metadata("scale_async", "event", spec_name,
                                bench::protocol_wire_id(spec), sizes.back(), c,
                                periods, seed));
@@ -368,7 +318,6 @@ int main() {
   rec.json().field("periods", static_cast<std::uint64_t>(periods));
   rec.json().field("warmup_periods", static_cast<std::uint64_t>(warmup));
   rec.json().field("drop_probability", drop);
-  rec.json().field("simd_detected", level_name(simd::detected_level()));
   rec.json().end_object();
   rec.json().key("runs");
   rec.json().begin_array();
@@ -376,7 +325,6 @@ int main() {
     rec.json().begin_object();
     rec.json().field("n", static_cast<std::uint64_t>(r.n));
     rec.json().field("engine", r.engine);
-    rec.json().field("kernel", r.kernel);
     rec.json().field("threads", r.threads);
     rec.json().field("setup_seconds", r.setup_seconds);
     rec.json().field("run_seconds", r.run_seconds);
@@ -407,6 +355,6 @@ int main() {
     std::fprintf(stderr, "digest gate FAILED\n");
     return 1;
   }
-  std::printf("digest gate OK (all thread counts x kernels bit-identical)\n");
+  std::printf("digest gate OK (all thread counts bit-identical)\n");
   return 0;
 }

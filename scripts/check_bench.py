@@ -61,7 +61,7 @@ REGISTRY = {
         },
     },
     "pss.bench.scale_async": {
-        1: {"sections": ["params", "runs"], "gates": ["digest"]},
+        2: {"sections": ["params", "runs"], "gates": ["digest"]},
     },
     "pss.bench.scale_parallel": {
         2: {"sections": ["runs"],

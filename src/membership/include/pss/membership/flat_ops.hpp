@@ -20,15 +20,16 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <vector>
 
 #include "pss/common/check.hpp"
 #include "pss/common/rng.hpp"
 #include "pss/membership/node_descriptor.hpp"
-#include "pss/membership/simd.hpp"
 
 namespace pss::flat {
 
@@ -77,27 +78,23 @@ class AddressSet {
 /// drives exchanges (the cycle engine owns one; adapter methods make a
 /// short-lived local one). Never aliased across the pipeline: `merged`
 /// backs absorb, `buffer`/`reply` carry the in-flight messages, `forged`
-/// stages sim::ExchangeCore's byzantine rewrites, the rest back view
-/// selection.
+/// stages sim::ExchangeCore's byzantine rewrites, the rest back the merge
+/// stream and view selection.
 struct Scratch {
-  std::vector<NodeDescriptor> merged;  ///< absorb's union buffer
-  std::vector<NodeDescriptor> buffer;  ///< active thread's outgoing buffer
-  std::vector<NodeDescriptor> reply;   ///< passive thread's pull reply
-  std::vector<NodeDescriptor> sel;     ///< selection: assembled result
-  std::vector<NodeDescriptor> forged;  ///< byzantine forge staging
-  std::vector<std::size_t> picks;      ///< sample_indices output
-  std::vector<std::size_t> fy;         ///< sample_indices Fisher–Yates table
-  AddressSet seen;                     ///< merge dedup table
+  std::vector<NodeDescriptor> merged;    ///< absorb's union buffer
+  std::vector<NodeDescriptor> buffer;    ///< active thread's outgoing buffer
+  std::vector<NodeDescriptor> reply;     ///< passive thread's pull reply
+  std::vector<NodeDescriptor> forged;    ///< byzantine forge staging
+  std::vector<std::uint64_t> pick_bits;  ///< selection: picked indices
+  std::vector<std::size_t> fy;           ///< selection: Fisher–Yates table
+  AddressSet seen;                       ///< merge dedup table
   /// Raw landing zone for the merge loop: plain stores with no vector
   /// size/capacity bookkeeping, bulk-assigned to `merged` afterwards.
   std::array<NodeDescriptor, AddressSet::kMaxEntries> merge_arr;
-  // SIMD union-merge staging (see pss/membership/simd.hpp): both inputs are
-  // copied here so the 4-wide loads read sentinel padding, never the bytes
-  // past a view slot or message slab; union_arr takes the merged stream
-  // (<= kMaxEntries real entries) plus the kernel's 4-entry sentinel spill.
-  std::array<NodeDescriptor, AddressSet::kMaxEntries + 8> pad_a;
-  std::array<NodeDescriptor, AddressSet::kMaxEntries + 8> pad_b;
-  std::array<NodeDescriptor, AddressSet::kMaxEntries + 8> union_arr;
+  /// The merge stream's inputs as packed keys, each run closed by one
+  /// sentinel key (see detail::MergeStream).
+  std::array<std::uint64_t, AddressSet::kMaxEntries + 1> keys_a;
+  std::array<std::uint64_t, AddressSet::kMaxEntries + 1> keys_b;
 };
 
 namespace detail {
@@ -116,18 +113,94 @@ inline bool is_normalized(DescSpan v) {
 }
 #endif
 
-/// Insertion sort for the tiny pick lists (<= c elements): beats introsort's
-/// dispatch overhead at this size and is branch-friendly on nearly-sorted
-/// input.
-inline void sort_small(std::vector<std::size_t>& v) {
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    const std::size_t x = v[i];
-    std::size_t j = i;
-    while (j > 0 && v[j - 1] > x) {
-      v[j] = v[j - 1];
-      --j;
+inline NodeDescriptor from_key(std::uint64_t key) {
+  return {static_cast<NodeId>(key), static_cast<HopCount>(key >> 32)};
+}
+
+/// Closes each staged key run. It is above every real key because no
+/// stored descriptor carries address kInvalidNode (GossipNode::init_view
+/// drops it, WireCodec::decode rejects it), so an exhausted run never wins
+/// a comparison.
+inline constexpr std::uint64_t kSentinelKey = ~std::uint64_t{0};
+
+/// Branch-free two-pointer merge over two ascending, sentinel-closed key
+/// runs: each next() yields the smaller head and advances its side with
+/// plain adds, so the data-dependent take never costs a mispredict. Equal
+/// keys are identical descriptors, so tie order cannot matter. The caller
+/// stops after the a.size() + b.size() real keys.
+class MergeStream {
+ public:
+  /// Copies `a`, aged by `age_a` hops, and `b` into s.keys_a / s.keys_b as
+  /// packed keys, each run followed by kSentinelKey. Aging is a key add of
+  /// (age_a << 32), which preserves the (hop, address) order.
+  MergeStream(DescSpan a, DescSpan b, HopCount age_a, Scratch& s)
+      : a_(s.keys_a.data()), b_(s.keys_b.data()) {
+    PSS_DCHECK(
+        std::ranges::find(a, kInvalidNode, &NodeDescriptor::address) ==
+            a.end() &&
+        std::ranges::find(b, kInvalidNode, &NodeDescriptor::address) ==
+            b.end());
+    const std::uint64_t age_key = static_cast<std::uint64_t>(age_a) << 32;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      s.keys_a[i] = sort_key(a[i]) + age_key;
     }
-    v[j] = x;
+    s.keys_a[a.size()] = kSentinelKey;
+    for (std::size_t j = 0; j < b.size(); ++j) s.keys_b[j] = sort_key(b[j]);
+    s.keys_b[b.size()] = kSentinelKey;
+  }
+
+  std::uint64_t next() {
+    const std::uint64_t ka = a_[i_];
+    const std::uint64_t kb = b_[j_];
+    const bool take_a = ka < kb;
+    i_ += take_a;
+    j_ += !take_a;
+    return take_a ? ka : kb;
+  }
+
+ private:
+  const std::uint64_t* a_;
+  const std::uint64_t* b_;
+  std::size_t i_ = 0;
+  std::size_t j_ = 0;
+};
+
+/// Keeps `k` of the `n` entries at `src`, writing them in ascending index
+/// order to `dst` (dst <= src may overlap: every read is at or ahead of its
+/// write). The kept indices are exactly the ones
+/// rng.sample_indices_into(n, k, ...) draws, through the same branch and
+/// the same below() calls, but they are marked in a bitset sized to the
+/// class instead of listed, so the ascending gather needs no sort.
+inline void keep_sampled(const NodeDescriptor* src, std::size_t n,
+                         std::size_t k, NodeDescriptor* dst, Rng& rng,
+                         Scratch& s) {
+  PSS_DCHECK(k <= n);
+  std::vector<std::uint64_t>& bits = s.pick_bits;
+  bits.assign((n + 63) / 64, 0);
+  if (k * 3 >= n) {
+    // Partial Fisher–Yates: slot i is final once step i has swapped into it.
+    s.fy.resize(n);
+    std::iota(s.fy.begin(), s.fy.end(), std::size_t{0});
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto j = i + static_cast<std::size_t>(rng.below(n - i));
+      std::swap(s.fy[i], s.fy[j]);
+      bits[s.fy[i] >> 6] |= std::uint64_t{1} << (s.fy[i] & 63);
+    }
+  } else {
+    // Rejection sampling: a candidate is a duplicate exactly when its bit
+    // is already set, the verdict sample_indices_into's linear scan reaches.
+    for (std::size_t got = 0; got < k;) {
+      const auto x = static_cast<std::size_t>(rng.below(n));
+      std::uint64_t& word = bits[x >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (x & 63);
+      got += (word & bit) == 0;
+      word |= bit;
+    }
+  }
+  for (std::size_t w = 0; w < bits.size(); ++w) {
+    for (std::uint64_t m = bits[w]; m != 0; m &= m - 1) {
+      *dst++ = src[w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
+    }
   }
 }
 
@@ -154,17 +227,18 @@ inline void normalize(std::vector<NodeDescriptor>& buf) {
 /// normalized union, with the `a` side aged by `age_a` hops on the fly.
 /// `out` must not alias `a` or `b`. Requires `a` and `b` normalized
 /// (I1/I2) — true for every view slot and message buffer — which admits a
-/// linear two-pointer merge with hash dedup instead of View::merge's two
-/// sorts; both paths produce the identical canonical array (lowest hop per
-/// address, ordered by ByHopThenAddress).
+/// linear merge with hash dedup instead of View::merge's two sorts; both
+/// paths produce the identical canonical array (lowest hop per address,
+/// ordered by ByHopThenAddress): in (hop, address) order the first
+/// occurrence of an address is its lowest-hop copy, so dropping every
+/// later occurrence reproduces View::merge exactly.
 ///
 /// `age_a` exists because every Figure-1 handler ages the incoming buffer
 /// immediately before merging it: folding the uniform +age into the merge's
-/// key comparison (aging preserves the (hop, address) order) saves a full
+/// key staging (aging preserves the (hop, address) order) saves a full
 /// read-modify-write pass over the message on the hot path.
 inline void merge_into(DescSpan a, DescSpan b, std::vector<NodeDescriptor>& out,
                        Scratch& scratch, HopCount age_a = 0) {
-  const std::uint64_t age_key = static_cast<std::uint64_t>(age_a) << 32;
   if (a.size() + b.size() > AddressSet::kMaxEntries) {
     // Oversized inputs (possible only through the adapter API with
     // arbitrarily large Views) take the sort-based path.
@@ -178,60 +252,14 @@ inline void merge_into(DescSpan a, DescSpan b, std::vector<NodeDescriptor>& out,
     return;
   }
   PSS_DCHECK(detail::is_normalized(a) && detail::is_normalized(b));
-  if (simd::use_union_merge(a.size(), b.size())) {
-    // Vector path: 4-wide bitonic union merge (aging the `a` side during
-    // its staging copy), then the same dedup rule as the scalar stream
-    // below. Equal keys are identical descriptors and dedup keeps the first
-    // occurrence per address — the lowest key — in both paths, so the
-    // output is byte-identical (pinned by tests/simd_kernels_test.cpp).
-    simd::aged_copy(scratch.pad_a.data(), a.data(), a.size(), age_a);
-    simd::pad_after(scratch.pad_a.data(), a.size());
-    simd::aged_copy(scratch.pad_b.data(), b.data(), b.size(), 0);
-    simd::pad_after(scratch.pad_b.data(), b.size());
-    simd::merge_union(scratch.pad_a.data(), a.size(), scratch.pad_b.data(),
-                      b.size(), scratch.union_arr.data());
-    scratch.seen.reset();
-    NodeDescriptor* const base = scratch.merge_arr.data();
-    NodeDescriptor* cursor = base;
-    const std::size_t total = a.size() + b.size();
-    for (std::size_t t = 0; t < total; ++t) {
-      const NodeDescriptor d = scratch.union_arr[t];
-      *cursor = d;
-      cursor += scratch.seen.insert(d.address);
-    }
-    out.assign(base, cursor);
-    return;
-  }
-  // Two-pointer merge over the already-sorted inputs. In (hop, address)
-  // order the first occurrence of an address is its lowest-hop copy, so
-  // dropping every later occurrence reproduces View::merge exactly. Equal
-  // (hop, address) pairs are identical descriptors, so tie order between
-  // the inputs cannot matter. Comparing packed (hop << 32 | address) keys
-  // is ByHopThenAddress as one branch-free integer compare.
+  detail::MergeStream stream(a, b, age_a, scratch);
   scratch.seen.reset();
   NodeDescriptor* const base = scratch.merge_arr.data();
   NodeDescriptor* cursor = base;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const std::size_t take_a =
-        static_cast<std::size_t>(detail::sort_key(a[i]) + age_key <
-                                 detail::sort_key(b[j]));
-    const NodeDescriptor d = take_a
-                                 ? NodeDescriptor{a[i].address,
-                                                  a[i].hop_count + age_a}
-                                 : b[j];
-    i += take_a;
-    j += 1 - take_a;
+  for (std::size_t left = a.size() + b.size(); left != 0; --left) {
+    const NodeDescriptor d = detail::from_key(stream.next());
     *cursor = d;
     cursor += scratch.seen.insert(d.address);
-  }
-  for (; i < a.size(); ++i) {
-    *cursor = {a[i].address, a[i].hop_count + age_a};
-    cursor += scratch.seen.insert(a[i].address);
-  }
-  for (; j < b.size(); ++j) {
-    *cursor = b[j];
-    cursor += scratch.seen.insert(b[j].address);
   }
   out.assign(base, cursor);
 }
@@ -275,8 +303,8 @@ namespace detail {
 // Avoids View's final re-sort: the interior block is a subsequence of the
 // sorted buffer and the sampled boundary entries all share one hop count,
 // so gathering the picks in ascending index order (the class is
-// address-ascending) and concatenating the two blocks lands directly on the
-// canonical (hop, address) order.
+// address-ascending) next to the interior lands directly on the canonical
+// (hop, address) order, in place.
 inline void select_boundary_sampled(std::vector<NodeDescriptor>& buf,
                                     std::size_t c, Rng& rng, Scratch& s,
                                     bool from_head) {
@@ -299,22 +327,18 @@ inline void select_boundary_sampled(std::vector<NodeDescriptor>& buf,
   while (hi < n && buf[hi].hop_count == boundary_hop) ++hi;
   const std::size_t inside = from_head ? lo : n - hi;
   const std::size_t need = k - inside;
-  rng.sample_indices_into(hi - lo, need, s.picks, s.fy);
-  sort_small(s.picks);
-  s.sel.clear();
-  s.sel.reserve(k);
+  NodeDescriptor* const v = buf.data();
   if (from_head) {
-    // Interior (fresher than the boundary) first, boundary picks after.
-    s.sel.insert(s.sel.end(), buf.begin(),
-                 buf.begin() + static_cast<std::ptrdiff_t>(lo));
-    for (std::size_t p : s.picks) s.sel.push_back(buf[lo + p]);
+    // Interior (fresher than the boundary) stays; the picks follow it.
+    keep_sampled(v + lo, hi - lo, need, v + lo, rng, s);
+    buf.resize(k);
   } else {
-    // Boundary picks are the freshest survivors of a tail selection.
-    for (std::size_t p : s.picks) s.sel.push_back(buf[lo + p]);
-    s.sel.insert(s.sel.end(), buf.begin() + static_cast<std::ptrdiff_t>(hi),
-                 buf.end());
+    // The picks are the freshest survivors of a tail selection: they move
+    // to the front, and the older suffix [hi, n) closes up behind them.
+    keep_sampled(v + lo, hi - lo, need, v, rng, s);
+    buf.erase(buf.begin() + static_cast<std::ptrdiff_t>(need),
+              buf.begin() + static_cast<std::ptrdiff_t>(hi));
   }
-  buf.swap(s.sel);
 }
 
 }  // namespace detail
@@ -335,22 +359,17 @@ inline void select_tail_unbiased(std::vector<NodeDescriptor>& buf,
 }
 
 /// select_rand: uniform sample of min(c, size) entries without replacement.
+/// The picks span hop classes, but gathering them in ascending index order
+/// out of the already-sorted buffer lands in canonical order — the element
+/// re-sort View::select_rand pays is unnecessary here.
 inline void select_rand(std::vector<NodeDescriptor>& buf, std::size_t c,
                         Rng& rng, Scratch& scratch) {
   const std::size_t k = std::min(c, buf.size());
-  rng.sample_indices_into(buf.size(), k, scratch.picks, scratch.fy);
-  // The picks span hop classes, but sorting them as indices into the
-  // already-sorted buffer makes the gather land in canonical order — the
-  // element re-sort View::select_rand pays is unnecessary here.
-  detail::sort_small(scratch.picks);
-  scratch.sel.clear();
-  scratch.sel.reserve(k);
-  for (std::size_t i : scratch.picks) scratch.sel.push_back(buf[i]);
-  buf.swap(scratch.sel);
+  detail::keep_sampled(buf.data(), buf.size(), k, buf.data(), rng, scratch);
+  buf.resize(k);
 }
 
-/// Fused merge + drop-self + select_head_unbiased: produces in `out`
-/// exactly
+/// Fused merge + drop-self + select_head_unbiased: produces exactly
 ///   merge_into(a, b, out, scratch, age_a); remove_address(out, self);
 ///   select_head_unbiased(out, c, rng, scratch);
 /// with identical results and identical Rng consumption, in one streaming
@@ -358,40 +377,35 @@ inline void select_rand(std::vector<NodeDescriptor>& buf, std::size_t c,
 /// at the selection boundary instead of materializing the full union: the
 /// stream runs until c survivors are emitted, extends through the boundary
 /// hop-class, and then only probes far enough to learn whether anything was
-/// truncated (which decides whether the reference draws Rng at all). On the
-/// event engine's hot path this cuts the per-absorb work nearly in half —
-/// it is the kernel behind both engines' (.,head,.) exchanges.
-/// Preconditions as merge_into: `a`, `b` normalized, `out` aliases neither.
-/// Core of merge_select_head: streams into scratch.merge_arr and returns
-/// the selected length (<= c). Requires a.size() + b.size() and c within
-/// AddressSet::kMaxEntries — callers dispatch to the vector-based fallback
-/// otherwise. The result is left in scratch.merge_arr so the caller can
-/// hand it straight to FlatViewStore::assign without an intermediate copy.
-/// Selection tail shared by the scalar and SIMD merge front-ends:
-/// `next_raw` yields the (hop, address)-ordered union stream (duplicates
-/// included); this routine applies the self-skip + dedup + boundary-sampled
-/// head selection with the reference Rng consumption. Templated so the
-/// scalar two-pointer stream inlines as before and the SIMD path reads its
-/// pre-merged union linearly — both land in scratch.merge_arr.
-template <typename NextRaw>
-inline std::size_t select_head_streaming(NextRaw&& next_raw, NodeId self,
+/// truncated (which decides whether the reference draws Rng at all). It is
+/// the kernel behind every engine's (.,head,.) exchanges.
+///
+/// Streams into scratch.merge_arr and returns the selected length (<= c),
+/// so the caller can hand the result straight to FlatViewStore::assign.
+/// Preconditions as merge_into, plus a.size() + b.size() and c within
+/// AddressSet::kMaxEntries (merge_select_head takes the unfused path
+/// otherwise) and c > 0.
+inline std::size_t merge_select_head_arr(DescSpan a, DescSpan b, NodeId self,
                                          std::size_t c, Rng& rng,
-                                         Scratch& scratch) {
+                                         Scratch& scratch, HopCount age_a) {
+  PSS_DCHECK(detail::is_normalized(a) && detail::is_normalized(b));
+  PSS_DCHECK(a.size() + b.size() <= AddressSet::kMaxEntries &&
+             c <= AddressSet::kMaxEntries);
+  PSS_DCHECK(c > 0);  // the boundary probe reads the c-th entry
+  detail::MergeStream stream(a, b, age_a, scratch);
+  std::size_t left = a.size() + b.size();
+  // Seeding the dedup set with self drops self exactly as the reference's
+  // remove_address does, without a second test per entry.
   scratch.seen.reset();
-  auto next_survivor = [&](NodeDescriptor& d) -> bool {
-    while (next_raw(d)) {
-      if (d.address == self) continue;
-      if (!scratch.seen.insert(d.address)) continue;
-      return true;
-    }
-    return false;
-  };
-
+  scratch.seen.insert(self);
   NodeDescriptor* const base = scratch.merge_arr.data();
   NodeDescriptor* cursor = base;
   NodeDescriptor* const limit = base + c;
-  NodeDescriptor d;
-  while (cursor != limit && next_survivor(d)) *cursor++ = d;
+  for (; cursor != limit && left != 0; --left) {
+    const NodeDescriptor d = detail::from_key(stream.next());
+    *cursor = d;
+    cursor += scratch.seen.insert(d.address);
+  }
   if (cursor != limit) {
     // Fewer than c survivors: nothing truncated, no Rng consumed (the
     // reference's k == n early-out).
@@ -402,7 +416,9 @@ inline std::size_t select_head_streaming(NextRaw&& next_raw, NodeId self,
   // emitted count to decide.
   const HopCount boundary_hop = cursor[-1].hop_count;
   bool truncated = false;
-  while (next_survivor(d)) {
+  for (; left != 0; --left) {
+    const NodeDescriptor d = detail::from_key(stream.next());
+    if (!scratch.seen.insert(d.address)) continue;
     if (d.hop_count != boundary_hop) {
       truncated = true;
       break;
@@ -418,78 +434,8 @@ inline std::size_t select_head_streaming(NextRaw&& next_raw, NodeId self,
   // is kept outright, the boundary class [lo, total) is sampled to fill.
   std::size_t lo = c - 1;
   while (lo > 0 && base[lo - 1].hop_count == boundary_hop) --lo;
-  const std::size_t need = c - lo;
-  rng.sample_indices_into(total - lo, need, scratch.picks, scratch.fy);
-  detail::sort_small(scratch.picks);
-  // Ascending in-place gather: picks[t] >= t, so every read is at or ahead
-  // of its write.
-  for (std::size_t t = 0; t < need; ++t) {
-    base[lo + t] = base[lo + scratch.picks[t]];
-  }
+  detail::keep_sampled(base + lo, total - lo, c - lo, base + lo, rng, scratch);
   return c;
-}
-
-inline std::size_t merge_select_head_arr(DescSpan a, DescSpan b, NodeId self,
-                                         std::size_t c, Rng& rng,
-                                         Scratch& scratch, HopCount age_a) {
-  PSS_DCHECK(detail::is_normalized(a) && detail::is_normalized(b));
-  PSS_DCHECK(a.size() + b.size() <= AddressSet::kMaxEntries &&
-             c <= AddressSet::kMaxEntries);
-  PSS_DCHECK(c > 0);  // the boundary probe reads the c-th entry
-  if (simd::use_union_merge(a.size(), b.size())) {
-    // Vector front-end: materialize the sorted union (duplicates included)
-    // with the 4-wide bitonic merge, then run the shared selection tail
-    // over it linearly. The tail sees the same survivor stream as the
-    // scalar front-end (equal keys are identical records), so results and
-    // Rng draws are byte-identical; the early-stop economy the scalar
-    // stream enjoys is traded for the vector merge's throughput.
-    simd::aged_copy(scratch.pad_a.data(), a.data(), a.size(), age_a);
-    simd::pad_after(scratch.pad_a.data(), a.size());
-    simd::aged_copy(scratch.pad_b.data(), b.data(), b.size(), 0);
-    simd::pad_after(scratch.pad_b.data(), b.size());
-    simd::merge_union(scratch.pad_a.data(), a.size(), scratch.pad_b.data(),
-                      b.size(), scratch.union_arr.data());
-    const NodeDescriptor* const u = scratch.union_arr.data();
-    const std::size_t total = a.size() + b.size();
-    std::size_t t = 0;
-    return select_head_streaming(
-        [&](NodeDescriptor& d) -> bool {
-          if (t >= total) return false;
-          d = u[t++];
-          return true;
-        },
-        self, c, rng, scratch);
-  }
-  // Scalar front-end: streams the (hop, address)-ordered union with the
-  // same take rule and dedup as merge_into (including its on-the-fly aging
-  // of the `a` side). The packed sort keys roll forward with the two
-  // cursors so each iteration recomputes only the side it consumed.
-  const std::uint64_t age_key = static_cast<std::uint64_t>(age_a) << 32;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  std::uint64_t ka = i < a.size() ? detail::sort_key(a[i]) + age_key : 0;
-  std::uint64_t kb = j < b.size() ? detail::sort_key(b[j]) : 0;
-  return select_head_streaming(
-      [&](NodeDescriptor& d) -> bool {
-        if (i < a.size() && j < b.size()) {
-          if (ka < kb) {
-            d = {a[i].address, a[i].hop_count + age_a};
-            if (++i < a.size()) ka = detail::sort_key(a[i]) + age_key;
-          } else {
-            d = b[j];
-            if (++j < b.size()) kb = detail::sort_key(b[j]);
-          }
-        } else if (i < a.size()) {
-          d = {a[i].address, a[i].hop_count + age_a};
-          ++i;
-        } else if (j < b.size()) {
-          d = b[j++];
-        } else {
-          return false;
-        }
-        return true;
-      },
-      self, c, rng, scratch);
 }
 
 inline void merge_select_head(DescSpan a, DescSpan b, NodeId self,

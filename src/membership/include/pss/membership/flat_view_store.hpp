@@ -29,15 +29,16 @@
 // argument (see pss/sim/parallel_cycle_engine.hpp).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
 #include "pss/common/check.hpp"
 #include "pss/common/types.hpp"
 #include "pss/membership/node_descriptor.hpp"
-#include "pss/membership/simd.hpp"
 
 namespace pss {
 
@@ -98,14 +99,13 @@ class FlatViewStore {
   void assign(NodeId slot, std::span<const NodeDescriptor> entries);
 
   /// increaseHopCount for one slot: ages every entry by one hop. Order by
-  /// (hop, address) is preserved under a uniform +1. The loop is a lane-wise
-  /// add of (1 << 32) on the packed descriptor keys (simd.hpp), two or four
-  /// entries per instruction on x86.
+  /// (hop, address) is preserved under a uniform +1.
   void age(NodeId slot) {
     PSS_DCHECK(slot < sizes_.size());
-    simd::age_in_place(
-        slots_.data() + static_cast<std::size_t>(slot) * capacity_,
-        sizes_[slot]);
+    NodeDescriptor* const view =
+        slots_.data() + static_cast<std::size_t>(slot) * capacity_;
+    const std::uint32_t n = sizes_[slot];
+    for (std::uint32_t i = 0; i < n; ++i) ++view[i].hop_count;
     touch(slot);
   }
 
@@ -116,9 +116,24 @@ class FlatViewStore {
   /// outgoing request. Returns the entry count written.
   std::uint32_t age_and_copy(NodeId slot, NodeDescriptor* out) {
     PSS_DCHECK(slot < sizes_.size());
+    // A descriptor's 8 bytes read as a little-endian u64 are its
+    // (hop << 32 | address) sort key, so aging is one add of 1 << 32 per
+    // entry, and the compiler turns the loop into vector adds (the
+    // field-wise form does not vectorize with the second store).
+    static_assert(std::endian::native == std::endian::little &&
+                  sizeof(NodeDescriptor) == sizeof(std::uint64_t));
+    NodeDescriptor* const view =
+        slots_.data() + static_cast<std::size_t>(slot) * capacity_;
     const std::uint32_t n = sizes_[slot];
-    simd::age_write_both(
-        slots_.data() + static_cast<std::size_t>(slot) * capacity_, out, n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      std::uint64_t key;
+      std::memcpy(&key, view + i, sizeof(key));
+      key += std::uint64_t{1} << 32;
+      // The void* casts mute GCC's class-memaccess warning (NodeDescriptor
+      // is trivially copyable but has default member initializers).
+      std::memcpy(static_cast<void*>(view + i), &key, sizeof(key));
+      std::memcpy(static_cast<void*>(out + i), &key, sizeof(key));
+    }
     touch(slot);
     return n;
   }

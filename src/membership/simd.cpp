@@ -1,38 +1,14 @@
 #include "pss/membership/simd.hpp"
 
-#include <cstdlib>
-
 namespace pss::simd {
 
-namespace {
-
-Level detect() {
-#if PSS_SIMD_X86
-  const char* force = std::getenv("PSS_FORCE_SCALAR");
-  if (force != nullptr && force[0] != '\0' && force[0] != '0') {
-    return Level::kScalar;
-  }
+Level detected_level() {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   if (__builtin_cpu_supports("avx2")) return Level::kAVX2;
   return Level::kSSE2;  // baseline of the x86-64 ABI, no probe needed
 #else
   return Level::kScalar;
 #endif
-}
-
-}  // namespace
-
-namespace detail {
-// Dynamic initializer; zero-init (kScalar) covers pre-main callers.
-Level g_level = detect();
-}  // namespace detail
-
-Level detected_level() {
-  static const Level level = detect();
-  return level;
-}
-
-void set_level_for_testing(Level level) {
-  detail::g_level = level <= detected_level() ? level : detected_level();
 }
 
 }  // namespace pss::simd

@@ -62,6 +62,9 @@ const View& GossipNode::view() const {
 void GossipNode::init_view(const View& bootstrap) {
   std::vector<NodeDescriptor> buf(bootstrap.entries());
   flat::remove_address(buf, self_);
+  // kInvalidNode is the "no peer" value: a stored copy would come back out
+  // of getPeer() and selectPeer(), and no frame may address it.
+  flat::remove_address(buf, kInvalidNode);
   flat::select_head(buf, options_.view_size);
   arena_->views.assign(slot_, buf);
 }

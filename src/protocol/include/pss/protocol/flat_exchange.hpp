@@ -134,11 +134,11 @@ inline std::uint32_t write_active_buffer(DescSpan view, NodeId self, bool push,
                                          NodeDescriptor* out) {
   if (!push) return 0;  // empty buffer triggers the pull reply
   const NodeDescriptor me{self, 0};
-  // The insertion point is the count of keys below (0 << 32 | self) — a
-  // branch-free SIMD scan (simd.hpp) instead of the element-wise compare
-  // loop; the two bulk copies around it vectorize as plain memmoves.
-  const std::size_t split =
-      simd::count_less(view.data(), view.size(), detail::sort_key(me));
+  // The insertion point is the count of keys below (0 << 32 | self); the
+  // two bulk copies around it vectorize as plain memmoves.
+  const std::uint64_t key = detail::sort_key(me);
+  std::size_t split = 0;
+  while (split < view.size() && detail::sort_key(view[split]) < key) ++split;
   std::copy_n(view.data(), split, out);
   out[split] = me;
   std::copy_n(view.data() + split, view.size() - split, out + split + 1);

@@ -98,7 +98,7 @@ class GossipNode {
 
   /// init() of the peer sampling API: seeds the view with bootstrap
   /// descriptors (hop count 0), dropping any descriptor of the node itself
-  /// and truncating to c.
+  /// or of kInvalidNode and truncating to c.
   void init_view(const View& bootstrap);
 
   /// Ages every stored descriptor by one hop. Engines call this exactly

@@ -206,6 +206,32 @@ TEST(FlatOps, PeerSelectionMatchesViewWithClonedRngs) {
   }
 }
 
+TEST(FlatOps, AgeWriteActiveBufferEqualsAgeThenWrite) {
+  Rng rng(71);
+  for (int trial = 0; trial < 150; ++trial) {
+    const View v = random_view(rng, 8, 40, 6);
+    const NodeId self_addr = 41;  // outside the address space above
+    // Two identical stores; one runs the fused kernel, one the two-pass
+    // reference composition.
+    FlatViewStore fused(8), split(8);
+    const NodeId slot = fused.add_node();
+    (void)split.add_node();
+    fused.assign(slot, v.entries());
+    split.assign(slot, v.entries());
+    std::vector<NodeDescriptor> fused_buf(v.size() + 1);
+    std::vector<NodeDescriptor> split_buf(v.size() + 1);
+    const auto fused_n = flat::age_write_active_buffer(
+        fused, slot, self_addr, true, fused_buf.data());
+    split.age(slot);
+    const auto split_n = flat::write_active_buffer(
+        split.view_of(slot), self_addr, true, split_buf.data());
+    ASSERT_EQ(fused_n, split_n);
+    EXPECT_EQ(fused_buf, split_buf) << "fused wakeup buffer, trial " << trial;
+    EXPECT_EQ(to_vec(fused.view_of(slot)), to_vec(split.view_of(slot)))
+        << "aged slot, trial " << trial;
+  }
+}
+
 TEST(FlatOps, RandomizedTraceKeepsSlotAndViewInLockstep) {
   // Drive one flat slot and one View through the same random op sequence:
   // merge-in, age, erase — the full mutation surface a node's view sees.

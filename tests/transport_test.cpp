@@ -403,6 +403,31 @@ TEST(ServiceNodeUnit, PeerSamplingServiceRunsOverTransportView) {
   EXPECT_GT(std::set<NodeId>(outputs.begin(), outputs.end()).size(), 60u);
 }
 
+TEST(ServiceNodeUnit, InitDropsInvalidContact) {
+  // kInvalidNode is the "no peer" value. A stored copy would come back out
+  // of getPeer() on a non-empty view, and the next tick would address a
+  // frame to it, which WireCodec::encode refuses with a throw. Both init
+  // paths (PeerSamplingService's and ServiceNode's) go through
+  // GossipNode::init_view, which must drop it as it drops self.
+  Rng bus_rng(0x5E2F000B);
+  LoopbackTransport bus({}, bus_rng);
+  ServiceNode a(/*self=*/3, ProtocolSpec::newscast(), ProtocolOptions{},
+                Rng(0x5E2F000C), bus);
+  PeerSamplingService service(a.gossip_node(), Rng(0x5E2F000D));
+  const std::vector<NodeId> contacts = {kInvalidNode, 4};
+  service.init(contacts);
+  EXPECT_EQ(a.view().size(), 1u);
+  for (int draw = 0; draw < 16; ++draw) EXPECT_EQ(service.get_peer(), 4u);
+
+  ServiceNode b(/*self=*/5, ProtocolSpec::newscast(), ProtocolOptions{},
+                Rng(0x5E2F000E), bus);
+  const std::vector<NodeId> only_invalid = {kInvalidNode};
+  b.init(only_invalid);
+  EXPECT_TRUE(b.view().empty());
+  EXPECT_NO_THROW(b.on_tick(1.0));
+  EXPECT_EQ(b.node_stats().initiated, 0u);
+}
+
 TEST(ServiceNodeUnit, ReplyFromUnaskedPeerIsStale) {
   // Reply admission is bound to the peer the pull was sent to: a frame
   // that guesses the live exchange id but comes from anyone else is stale.
