@@ -1,15 +1,17 @@
-// Thread-scaling driver for the sharded parallel cycle engine.
+// Lane-scaling driver for the cycle engine.
 //
-// For each network size it records the sequential CycleEngine baseline,
-// then ParallelCycleEngine runs across a thread ladder — each bit-identical
-// to the baseline, verified in-run by a state digest — and writes
-// machine-readable results to BENCH_parallel.json. Every run stands up an
-// identical freshly-seeded network, so digests and throughputs are directly
-// comparable.
+// For each network size it records the one-lane CycleEngine baseline (mode
+// "sequential": the scan that executes each step where it selects it),
+// then runs the multi-lane loop (mode "deterministic") across a lane
+// ladder — each bit-identical to the baseline, verified in-run by a state
+// digest — and writes machine-readable results to BENCH_parallel.json.
+// Every run stands up an identical freshly-seeded network, so digests and
+// throughputs are directly comparable.
 //
 // Knobs (see docs/PERFORMANCE.md):
 //   PSS_PAR_NS      comma-separated network sizes     (default 1000000)
-//   PSS_PAR_THREADS comma-separated thread counts     (default 1,2,4,8)
+//   PSS_PAR_THREADS comma-separated lane counts; 1 is the baseline, which
+//                   always runs                       (default 1,2,4,8)
 //   PSS_CYCLES      cycles per run                    (default 10)
 //   PSS_C           view size c                       (default 30)
 //   PSS_SEED        master seed                       (default 42)
@@ -28,7 +30,6 @@
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/cycle_engine.hpp"
 #include "pss/sim/network.hpp"
-#include "pss/sim/parallel_cycle_engine.hpp"
 
 namespace {
 
@@ -79,12 +80,12 @@ std::vector<std::size_t> parse_list(const std::string& text,
 using pss::scenarios::state_digest;
 
 struct RunResult {
-  std::string mode;  // "sequential" | "deterministic"
+  std::string mode;  // "sequential" (one lane) | "deterministic" (more)
   std::size_t n = 0;
   unsigned threads = 1;
   double run_seconds = 0;
   double exchanges_per_second = 0;
-  double speedup = 1.0;  // vs the sequential baseline at the same n
+  double speedup = 1.0;  // vs the one-lane baseline at the same n
   std::uint64_t exchanges = 0;
   std::uint64_t digest = 0;
   bool matches_sequential = false;
@@ -121,7 +122,7 @@ int main() {
   };
 
   for (const std::size_t n : sizes) {
-    // Sequential baseline.
+    // One-lane baseline.
     RunResult base;
     base.mode = "sequential";
     base.n = n;
@@ -143,12 +144,13 @@ int main() {
     results.push_back(base);
 
     for (const std::size_t t_count : threads_list) {
+      if (t_count == 1) continue;  // the baseline above
       RunResult r;
       r.mode = "deterministic";
       r.n = n;
       r.threads = static_cast<unsigned>(t_count);
       sim::Network net = make_net(n);
-      sim::ParallelCycleEngine engine(net, {r.threads});
+      sim::CycleEngine engine(net, {r.threads});
       const auto t = Clock::now();
       engine.run(cycles);
       r.run_seconds = seconds_since(t);
@@ -163,7 +165,7 @@ int main() {
         // just in the test suite: a digest mismatch is a hard failure.
         std::fprintf(stderr,
                      "FATAL: deterministic run (n=%zu, threads=%u) "
-                     "diverged from the sequential baseline\n",
+                     "diverged from the one-lane baseline\n",
                      n, r.threads);
         return 1;
       }

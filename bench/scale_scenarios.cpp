@@ -2,17 +2,17 @@
 // scenario, at scale, with the differential contract checked in-run.
 //
 // Phase 1 — differential gate (the scenario subsystem's reason to exist):
-// for each engine (sequential CycleEngine, Deterministic
-// ParallelCycleEngine, EventEngine, ParallelEventEngine) a run with a
-// zero-byzantine AdversaryModel attached must be bit-identical to the
-// unhooked run: state digest everywhere, census digest on CycleEngine.
-// CycleEngine and EventEngine are checked with both adversary kinds; the
-// 2-lane ParallelEventEngine is hooked with a hub adversary and compared
-// against the unhooked EventEngine. A CycleEngine run under uniform-mode
-// TraceChurn must be bit-identical to the same run under plain ChurnModel.
-// Any divergence is a hard failure (exit 1), in the style of
-// BENCH_parallel.json's deterministic-vs-sequential gate: the equivalence
-// contract is enforced on every bench run, not just in the test suite.
+// for each engine (CycleEngine on one lane and on two, EventEngine,
+// ParallelEventEngine) a run with a zero-byzantine AdversaryModel attached
+// must be bit-identical to the unhooked run: state digest everywhere,
+// census digest on the one-lane CycleEngine. That engine and EventEngine
+// are checked with both adversary kinds; the 2-lane ParallelEventEngine is
+// hooked with a hub adversary and compared against the unhooked
+// EventEngine. A CycleEngine run under uniform-mode TraceChurn must be
+// bit-identical to the same run under plain ChurnModel. Any divergence is
+// a hard failure (exit 1), in the style of BENCH_parallel.json's
+// deterministic-vs-sequential gate: the equivalence contract is enforced
+// on every bench run, not just in the test suite.
 //
 // Phase 2 — scenario scan: each registry entry runs on a fresh
 // identically-seeded network per size, adversary and churn attached as the
@@ -50,7 +50,6 @@
 #include "pss/sim/cycle_engine.hpp"
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/network.hpp"
-#include "pss/sim/parallel_cycle_engine.hpp"
 #include "pss/sim/parallel_event_engine.hpp"
 
 namespace {
@@ -210,8 +209,7 @@ int main() {
   {
     auto run_parallel = [&](sim::ExchangeTamper* tamper) {
       sim::Network net = make_net(dn);
-      sim::ParallelCycleEngine engine(
-          net, {2, sim::ParallelPolicy::kDeterministic});
+      sim::CycleEngine engine(net, {2});
       if (tamper) engine.attach_adversary(*tamper);
       engine.run(cycles);
       return scenarios::state_digest(net);

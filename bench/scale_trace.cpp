@@ -1,15 +1,15 @@
 // scale_trace: the tracing seam against its non-perturbation contract.
 //
 // Phase 1 is a hard differential gate, in the scale_transport mold: for
-// every engine that carries the TraceProbe seam — CycleEngine,
-// ParallelCycleEngine (deterministic, 2 and 4 lanes), EventEngine,
-// ParallelEventEngine and the ServiceNode/LoopbackDriver wire stack —
-// three freshly-seeded runs of the same workload must finish with equal
-// scenarios::state_digest: untraced (no probe attached), disarmed (probe
-// attached, armed=false) and armed (TraceRecorder + Profiler through a
-// TraceTee). Any divergence means tracing perturbed the protocol; the
-// driver exits non-zero so CI can gate on `"differential_ok": true`. The
-// armed run must also have recorded spans, or the gate is vacuous.
+// every engine that carries the TraceProbe seam — CycleEngine (1, 2 and 4
+// lanes), EventEngine, ParallelEventEngine and the
+// ServiceNode/LoopbackDriver wire stack — three freshly-seeded runs of the
+// same workload must finish with equal scenarios::state_digest: untraced
+// (no probe attached), disarmed (probe attached, armed=false) and armed
+// (TraceRecorder + Profiler through a TraceTee). Any divergence means
+// tracing perturbed the protocol; scale_trace exits non-zero so CI can
+// gate on `"differential_ok": true`. The armed run must also have recorded
+// spans, or the gate is vacuous.
 //
 // Phase 2 measures what an armed flight recorder costs: EventEngine
 // exchanges/s untraced vs armed at the sizes in PSS_TRACE_NS (default
@@ -36,7 +36,6 @@
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/cycle_engine.hpp"
 #include "pss/sim/event_engine.hpp"
-#include "pss/sim/parallel_cycle_engine.hpp"
 #include "pss/sim/parallel_event_engine.hpp"
 #include "pss/transport/loopback_driver.hpp"
 
@@ -150,22 +149,9 @@ int main() {
   // Each runner builds a fresh identically-seeded world, optionally hangs
   // the probe kit on the engine, runs, and digests. The kit outlives the
   // run only long enough to read its counters.
-  auto run_cycle = [&](std::size_t n, Probe probe) {
+  auto run_cycle = [&](std::size_t n, unsigned lanes, Probe probe) {
     sim::Network net = make_net(n);
-    sim::CycleEngine engine(net);
-    TraceKit kit(ring, probe == Probe::kArmed);
-    if (probe != Probe::kNone) engine.attach_trace(kit.tee);
-    const auto t0 = Clock::now();
-    engine.run(static_cast<Cycle>(cycles));
-    return RunOutcome{scenarios::state_digest(net), engine.stats().exchanges,
-                      seconds_since(t0), kit.recorder.total_recorded(),
-                      kit.recorder.dropped()};
-  };
-  auto run_parallel_cycle = [&](std::size_t n, unsigned threads,
-                                Probe probe) {
-    sim::Network net = make_net(n);
-    sim::ParallelCycleEngine engine(
-        net, {threads, sim::ParallelPolicy::kDeterministic});
+    sim::CycleEngine engine(net, {lanes});
     TraceKit kit(ring, probe == Probe::kArmed);
     if (probe != Probe::kNone) engine.attach_trace(kit.tee);
     const auto t0 = Clock::now();
@@ -237,13 +223,11 @@ int main() {
     }
   };
 
-  gate("cycle", run_cycle(dn, Probe::kNone), run_cycle(dn, Probe::kDisarmed),
-       run_cycle(dn, Probe::kArmed));
-  for (const unsigned t : {2u, 4u}) {
-    gate("parallel_cycle/t=" + std::to_string(t),
-         run_parallel_cycle(dn, t, Probe::kNone),
-         run_parallel_cycle(dn, t, Probe::kDisarmed),
-         run_parallel_cycle(dn, t, Probe::kArmed));
+  for (const unsigned t : {1u, 2u, 4u}) {
+    const std::string check =
+        t == 1 ? "cycle" : "parallel_cycle/t=" + std::to_string(t);
+    gate(check, run_cycle(dn, t, Probe::kNone),
+         run_cycle(dn, t, Probe::kDisarmed), run_cycle(dn, t, Probe::kArmed));
   }
   gate("event", run_event(dn, Probe::kNone), run_event(dn, Probe::kDisarmed),
        run_event(dn, Probe::kArmed));

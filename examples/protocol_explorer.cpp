@@ -6,8 +6,12 @@
 //   $ ./examples/protocol_explorer rand,head,pushpull random 2000 100
 //   $ ./examples/protocol_explorer tail,rand,push lattice
 //   $ ./examples/protocol_explorer --list
+#include <charconv>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "pss/experiments/reporting.hpp"
 #include "pss/experiments/scenario.hpp"
@@ -25,6 +29,22 @@ void print_usage() {
       "  N:        network size                 (default 2000)\n"
       "  cycles:   cycles to run                (default 100)\n"
       "  --list    print all 27 protocol names and exit\n";
+}
+
+/// Reports a bad argument with the usage; returns the exit status.
+int bad_argument(const std::string& message) {
+  std::cerr << message << "\n";
+  print_usage();
+  return 1;
+}
+
+/// A whole decimal count: digits only (no sign, no spaces), in range.
+std::optional<unsigned long> parse_count(std::string_view text) {
+  unsigned long value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace
@@ -46,15 +66,24 @@ int main(int argc, char** argv) {
     return 0;
   }
   const auto spec = ProtocolSpec::parse(arg1);
-  if (!spec) {
-    std::cerr << "unrecognized protocol: " << arg1 << "\n";
-    print_usage();
-    return 1;
-  }
+  if (!spec) return bad_argument("unrecognized protocol: " + arg1);
   const std::string scenario = argc > 2 ? argv[2] : "random";
+  if (scenario != "random" && scenario != "lattice" && scenario != "growing") {
+    return bad_argument("unknown scenario: " + scenario);
+  }
+  const auto n = argc > 3 ? parse_count(argv[3]) : 2000;
+  if (!n || *n < 2) {
+    return bad_argument(std::string("N must be a whole number >= 2: ") +
+                        argv[3]);
+  }
+  const auto cycles = argc > 4 ? parse_count(argv[4]) : 100;
+  if (!cycles || *cycles > std::numeric_limits<Cycle>::max()) {
+    return bad_argument(std::string("cycles must be a whole number: ") +
+                        argv[4]);
+  }
   experiments::ScenarioParams params;
-  params.n = argc > 3 ? std::stoul(argv[3]) : 2000;
-  params.cycles = argc > 4 ? static_cast<Cycle>(std::stoul(argv[4])) : 100;
+  params.n = *n;
+  params.cycles = static_cast<Cycle>(*cycles);
   params.sample_interval = std::max<Cycle>(1, params.cycles / 20);
   params.growth_per_cycle = std::max<std::size_t>(1, params.n / 100);
 
@@ -67,9 +96,6 @@ int main(int argc, char** argv) {
       return experiments::run_lattice_scenario(*spec, params);
     if (scenario == "growing")
       return experiments::run_growing_scenario(*spec, params);
-    if (scenario == "random")
-      return experiments::run_random_scenario(*spec, params);
-    std::cerr << "unknown scenario '" << scenario << "', using random\n";
     return experiments::run_random_scenario(*spec, params);
   }();
 

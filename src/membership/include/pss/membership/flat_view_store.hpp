@@ -23,10 +23,10 @@
 // materialized View for the legacy `const View&` accessor without
 // re-copying on every call; nothing on the exchange hot path reads the
 // stamps. The counters are per-slot — not one global counter — so that
-// threads of the parallel cycle engine mutating disjoint slots never share
-// a memory location: every FlatViewStore mutator touches only the slot it
-// is given, which is the storage half of the engine's race-freedom
-// argument (see pss/sim/parallel_cycle_engine.hpp).
+// the lanes of a multi-lane cycle engine mutating disjoint slots never
+// share a memory location: every FlatViewStore mutator touches only the
+// slot it is given, which is the storage half of the engine's race-freedom
+// argument (see pss/sim/cycle_engine.hpp).
 #pragma once
 
 #include <bit>

@@ -1,7 +1,7 @@
 // The obs module's engine-facing entry point: a SnapshotProbe that streams
 // the paper's Figure-2/4/6-style observables from the arena on every firing.
 //
-// Attach one to any engine (CycleEngine, ParallelCycleEngine, EventEngine)
+// Attach one to any engine (CycleEngine at any lane count, EventEngine)
 // via attach_probe(observer, cadence) and every cadence-th cycle/tick is
 // recorded as a SnapshotRecord: live count, in/out/union degree summaries,
 // component structure, and — when enabled — sampled clustering and path

@@ -2,7 +2,7 @@
 //
 // These free functions are the single implementation of the gossip skeleton
 // shared by every execution surface:
-//   - the cycle engines' honest path calls run_exchange directly on the
+//   - the cycle engine's honest path calls run_exchange directly on the
 //     network's NodeArena with a persistent Scratch — the batched,
 //     allocation-free atomic-exchange path;
 //   - every byzantine-hooked exchange and every asynchronous driver

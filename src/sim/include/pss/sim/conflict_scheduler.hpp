@@ -1,4 +1,4 @@
-// Greedy conflict-free batch partitioner for the parallel cycle engine.
+// Greedy conflict-free batch partitioner for the multi-lane cycle engine.
 //
 // The paper's cycle model executes the per-cycle permutation of initiators
 // strictly in order. Two steps commute exactly when they share no node
@@ -31,7 +31,7 @@
 // (previous batches ran to completion behind a barrier; earlier steps of
 // the *current*, not-yet-running batch are claim-disjoint from it), so the
 // selection sees — and its Rng draw consumes — exactly the state the
-// sequential engine would. Steps that touch only their initiator (empty
+// one-lane scan would. Steps that touch only their initiator (empty
 // views, dead contacts) are handed to InlineFn and executed immediately on
 // the scanning thread: legal because the current batch has not started
 // running and no admitted step shares their node; sequential-order-exact

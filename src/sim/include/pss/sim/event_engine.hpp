@@ -45,7 +45,6 @@
 #include "pss/membership/descriptor_slab_pool.hpp"
 #include "pss/membership/flat_ops.hpp"
 #include "pss/sim/calendar_queue.hpp"
-#include "pss/sim/cycle_step.hpp"
 #include "pss/sim/exchange_apply.hpp"
 #include "pss/sim/network.hpp"
 #include "pss/sim/probe.hpp"

@@ -9,8 +9,8 @@
 // LoopbackDriver) drive it and keep only their own I/O: the engines their
 // event queue, master-Rng drop and latency draws and message slabs;
 // ServiceNode its wire frames and Transport. A caller records only the
-// request_sent span, which brackets its own hand-off. The cycle engines'
-// hooked exchange (cycle_step.hpp) runs write_request, on_request and
+// request_sent span, which brackets its own hand-off. The cycle engine's
+// hooked exchange (cycle_engine.cpp) runs write_request, on_request and
 // on_reply back to back, so every engine forges through the same code.
 //
 // Per node, a caller runs on_tick, then write_request and hands the

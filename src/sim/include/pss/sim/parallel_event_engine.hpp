@@ -1,6 +1,6 @@
 // Parallel discrete-event execution of the asynchronous model — the event
-// engine counterpart of ParallelCycleEngine, with the same contract: a
-// Deterministic schedule that replays the sequential EventEngine
+// engine counterpart of the multi-lane CycleEngine, with the same
+// contract: a Deterministic schedule that replays the sequential EventEngine
 // bit-identically (state digest + counters) at any thread count.
 //
 // Why the cycle engine's conflict scheduling alone is not enough here: the
@@ -65,7 +65,6 @@
 #include "pss/membership/descriptor_slab_pool.hpp"
 #include "pss/membership/flat_ops.hpp"
 #include "pss/sim/calendar_queue.hpp"
-#include "pss/sim/cycle_step.hpp"
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/exchange_apply.hpp"
 #include "pss/sim/network.hpp"

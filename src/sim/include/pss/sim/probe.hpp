@@ -2,7 +2,7 @@
 //
 // A SnapshotProbe is the mechanism half of measurement: each engine exposes
 // attach_probe(probe, cadence) and invokes the probe between steps — after
-// every `cadence`-th completed cycle (cycle engines) or period tick (event
+// every `cadence`-th completed cycle (cycle engine) or period tick (event
 // engine) — with the network in a consistent between-steps state. What the
 // probe computes is entirely its own policy (the pss_obs module supplies the
 // streaming estimators); the engines know nothing beyond this interface, so
@@ -14,8 +14,9 @@
 //     Rng for sampled estimators instead of drawing from the network's
 //     master stream. tests/obs_test.cpp pins this with a state digest:
 //     a run with probes attached ends bit-identical to one without.
-//   - Probes fire on the engine's driving thread (for ParallelCycleEngine,
-//     after the end-of-cycle barrier), so they may freely read any slot.
+//   - Probes fire on the engine's driving thread (for a multi-lane
+//     CycleEngine, after the end-of-cycle barrier), so they may freely
+//     read any slot.
 //   - `cycle` is the number of completed cycles/ticks at the moment of the
 //     call (1-based: the first call of a cadence-1 probe reports 1).
 #pragma once

@@ -1,4 +1,4 @@
-// Persistent fork-join worker pool for the parallel cycle engine.
+// Persistent fork-join worker pool for the multi-lane engines.
 //
 // The engine dispatches one task per conflict-free batch — on the order of
 // √N batches per cycle (see conflict_scheduler.hpp) — so workers must

@@ -30,7 +30,7 @@
 //     id. The event engines and ServiceNode use their wire exchange id —
 //     the same u64 the PR-7 WireCodec header carries — which is what lets
 //     scripts/trace_tool.py stitch dumps from two UDP processes into one
-//     causal request->reply chain. The cycle engines have no wire id and
+//     causal request->reply chain. The cycle engine has no wire id and
 //     use a trace-only counter. Ids are only unique per process; the
 //     stitcher keys on (exchange_id, initiator, peer).
 #pragma once

@@ -11,7 +11,7 @@ namespace {
 constexpr double kYearsPerPeriod = 2.0;
 // Batches at or below this many W-parts run inline on the sequencer: the
 // pool's wake/barrier latency exceeds a handful of absorb kernels (the
-// same economics as ParallelCycleEngine's inline-batch threshold).
+// same economics as CycleEngine's inline-batch threshold).
 constexpr std::size_t kInlineBatch = 4;
 }  // namespace
 

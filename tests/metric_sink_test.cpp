@@ -29,7 +29,6 @@
 #include "pss/sim/cycle_engine.hpp"
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/network.hpp"
-#include "pss/sim/parallel_cycle_engine.hpp"
 #include "pss/transport/loopback_transport.hpp"
 #include "pss/transport/service_node.hpp"
 #include "pss/transport/wire.hpp"
@@ -391,8 +390,7 @@ TEST(SinkDifferentialTest, CycleEngineDigestUnchangedBySink) {
 
 TEST(SinkDifferentialTest, ParallelCycleEngineDigestUnchangedBySink) {
   expect_sink_is_write_only([](sim::Network& net, StreamingObserver& obs) {
-    sim::ParallelCycleEngine engine(
-        net, {2, sim::ParallelPolicy::kDeterministic});
+    sim::CycleEngine engine(net, {2});
     engine.attach_probe(obs);
     engine.run(4);
   });

@@ -25,7 +25,6 @@
 #include "pss/sim/cycle_engine.hpp"
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/network.hpp"
-#include "pss/sim/parallel_cycle_engine.hpp"
 #include "pss/stats/autocorrelation.hpp"
 
 namespace pss {
@@ -513,8 +512,7 @@ TEST(SnapshotProbe, CycleEngineCadence) {
 
 TEST(SnapshotProbe, ParallelCycleEngineCadence) {
   sim::Network net = make_converged(ProtocolSpec::newscast(), 100, 0);
-  sim::ParallelCycleEngine engine(
-      net, {/*threads=*/3, sim::ParallelPolicy::kDeterministic});
+  sim::CycleEngine engine(net, {/*threads=*/3});
   CountingProbe probe;
   engine.attach_probe(probe, 2);
   engine.run(7);
@@ -586,10 +584,8 @@ TEST(SnapshotProbe, ObserverDoesNotPerturbParallelCycleEngine) {
   sim::Network plain = make_converged(ProtocolSpec::newscast(), 400, 0, 9);
   sim::Network observed = make_converged(ProtocolSpec::newscast(), 400, 0, 9);
 
-  sim::ParallelCycleEngine plain_engine(
-      plain, {/*threads=*/4, sim::ParallelPolicy::kDeterministic});
-  sim::ParallelCycleEngine observed_engine(
-      observed, {/*threads=*/4, sim::ParallelPolicy::kDeterministic});
+  sim::CycleEngine plain_engine(plain, {/*threads=*/4});
+  sim::CycleEngine observed_engine(observed, {/*threads=*/4});
   obs::StreamingObserver observer({/*clustering_sample=*/50,
                                    /*path_sources=*/4, /*seed=*/123,
                                    /*reserve_records=*/16});

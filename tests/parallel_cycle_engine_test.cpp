@@ -1,13 +1,14 @@
-// Equivalence and safety tests for the sharded parallel cycle engine.
+// The lane differential: CycleEngine's two loops against each other.
 //
-// The engine's contract is bit-identity with the sequential
-// CycleEngine — same per-node views, same NodeStats, same EngineStats, same
-// master/per-node Rng consumption — at ANY thread count. The replays below
-// pin it across all 8 evaluated protocol instances, under kills, revives,
-// partitions, empty views and a hub topology that degrades the scheduler
-// to batch size 1. This binary is the TSan CI job's main payload, and the
-// ThreadPool units ride along so that job covers the pool's handshake
-// directly.
+// One lane runs the scan, which executes each step where it selects it;
+// two or more run conflict-scheduled batches on a thread pool. The
+// engine's contract is that the lane count changes nothing — same per-node
+// views, same NodeStats, same EngineStats, same master/per-node Rng
+// consumption. The replays below pin it across all 8 evaluated protocol
+// instances, under kills, revives, partitions, empty views and a hub
+// topology that degrades the scheduler to batch size 1. This binary is the
+// TSan CI job's main payload, and the ThreadPool units ride along so that
+// job covers the pool's handshake directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +18,6 @@
 
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/cycle_engine.hpp"
-#include "pss/sim/parallel_cycle_engine.hpp"
 #include "pss/sim/thread_pool.hpp"
 
 namespace pss::sim {
@@ -55,20 +55,17 @@ void expect_stats_equal(const EngineStats& a, const EngineStats& b,
 }
 
 // Drives the same eventful scenario — kills, a temporary partition, a
-// revive, late empty-view joiners — through the sequential engine and a
-// parallel engine, comparing full network state after every cycle.
-void check_parallel_matches_sequential(ProtocolSpec spec, unsigned threads,
-                                       ParallelPolicy policy) {
+// revive, late empty-view joiners — through the one-lane engine and a
+// `threads`-lane engine, comparing full network state after every cycle.
+void check_parallel_matches_sequential(ProtocolSpec spec, unsigned threads) {
   constexpr std::size_t kNodes = 120;
   constexpr std::uint64_t kSeed = 20260728;
   const ProtocolOptions options{8, /*remove_dead_on_failure=*/true};
   Network seq_net = bootstrap::make_random(spec, options, kNodes, kSeed);
   Network par_net = bootstrap::make_random(spec, options, kNodes, kSeed);
   CycleEngine seq(seq_net);
-  ParallelCycleEngine par(par_net, {threads, policy});
-  if (threads != 0) {
-    ASSERT_EQ(par.threads(), threads);
-  }
+  CycleEngine par(par_net, {threads});
+  ASSERT_EQ(par.threads(), threads);
   for (Cycle cycle = 0; cycle < 10; ++cycle) {
     if (cycle == 2) {
       // Dead contacts + remove_dead_on_failure eviction.
@@ -102,29 +99,20 @@ void check_parallel_matches_sequential(ProtocolSpec spec, unsigned threads,
 }
 
 TEST(ParallelCycleEngine, DeterministicMatchesSequentialNewscast4Threads) {
-  check_parallel_matches_sequential(ProtocolSpec::newscast(), 4,
-                                    ParallelPolicy::kDeterministic);
+  check_parallel_matches_sequential(ProtocolSpec::newscast(), 4);
 }
 
 TEST(ParallelCycleEngine, DeterministicMatchesSequentialAllEvaluated) {
-  // The acceptance matrix: every evaluated protocol, T threads vs the
-  // sequential engine. Odd thread counts catch partition-arithmetic bugs.
+  // The acceptance matrix: every evaluated protocol, T lanes vs one lane.
+  // Odd lane counts catch partition-arithmetic bugs.
   for (const ProtocolSpec& spec : ProtocolSpec::evaluated()) {
-    check_parallel_matches_sequential(spec, 4,
-                                      ParallelPolicy::kDeterministic);
+    check_parallel_matches_sequential(spec, 4);
   }
 }
 
 TEST(ParallelCycleEngine, DeterministicMatchesSequentialOddThreads) {
-  check_parallel_matches_sequential(ProtocolSpec::newscast(), 3,
-                                    ParallelPolicy::kDeterministic);
-  check_parallel_matches_sequential(ProtocolSpec::lpbcast(), 7,
-                                    ParallelPolicy::kDeterministic);
-}
-
-TEST(ParallelCycleEngine, SingleThreadIsTheSequentialEngine) {
-  check_parallel_matches_sequential(ProtocolSpec::newscast(), 1,
-                                    ParallelPolicy::kDeterministic);
+  check_parallel_matches_sequential(ProtocolSpec::newscast(), 3);
+  check_parallel_matches_sequential(ProtocolSpec::lpbcast(), 7);
 }
 
 TEST(ParallelCycleEngine, ThreadCountsAgreeWithEachOther) {
@@ -133,8 +121,8 @@ TEST(ParallelCycleEngine, ThreadCountsAgreeWithEachOther) {
   const ProtocolOptions options{10, false};
   Network net2 = bootstrap::make_random(spec, options, 600, 7);
   Network net8 = bootstrap::make_random(spec, options, 600, 7);
-  ParallelCycleEngine eng2(net2, {2, ParallelPolicy::kDeterministic});
-  ParallelCycleEngine eng8(net8, {8, ParallelPolicy::kDeterministic});
+  CycleEngine eng2(net2, {2});
+  CycleEngine eng8(net8, {8});
   eng2.run(6);
   eng8.run(6);
   expect_networks_identical(net2, net8, "2 vs 8 threads");
@@ -146,7 +134,7 @@ TEST(ParallelCycleEngine, HubTopologyDegradesToSequentialWithoutDeadlock) {
   // step contends on it and the scheduler must serialize batch by batch.
   const ProtocolSpec spec = ProtocolSpec::newscast();
   const ProtocolOptions options{6, false};
-  for (unsigned threads : {1u, 4u}) {
+  for (unsigned threads : {2u, 4u}) {
     Network seq_net(spec, options, 11);
     seq_net.add_nodes(40);
     bootstrap::init_star(seq_net);
@@ -154,7 +142,7 @@ TEST(ParallelCycleEngine, HubTopologyDegradesToSequentialWithoutDeadlock) {
     par_net.add_nodes(40);
     bootstrap::init_star(par_net);
     CycleEngine seq(seq_net);
-    ParallelCycleEngine par(par_net, {threads, ParallelPolicy::kDeterministic});
+    CycleEngine par(par_net, {threads});
     seq.run(5);
     par.run(5);
     expect_networks_identical(seq_net, par_net, "hub");
@@ -165,7 +153,8 @@ TEST(ParallelCycleEngine, HubTopologyDegradesToSequentialWithoutDeadlock) {
 TEST(ParallelCycleEngine, ReportsConfiguredThreadsAndPolicy) {
   Network net = bootstrap::make_random(ProtocolSpec::newscast(),
                                        ProtocolOptions{5, false}, 20, 3);
-  ParallelCycleEngine engine(net, {2, ParallelPolicy::kDeterministic});
+  EXPECT_EQ(CycleEngine(net).threads(), 1u);
+  CycleEngine engine(net, {2});
   EXPECT_EQ(engine.threads(), 2u);
   EXPECT_EQ(engine.cycle(), 0u);
   engine.run(0);

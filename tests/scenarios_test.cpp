@@ -35,7 +35,6 @@
 #include "pss/sim/cycle_engine.hpp"
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/network.hpp"
-#include "pss/sim/parallel_cycle_engine.hpp"
 #include "pss/sim/parallel_event_engine.hpp"
 
 namespace pss::scenarios {
@@ -127,8 +126,7 @@ TEST(ScenarioDifferential, ZeroByzantineCycleEngineIsBitIdentical) {
 TEST(ScenarioDifferential, ZeroByzantineParallelDeterministicIsBitIdentical) {
   auto run = [&](sim::ExchangeTamper* tamper, unsigned threads) {
     sim::Network net = make_net();
-    sim::ParallelCycleEngine engine(
-        net, {threads, sim::ParallelPolicy::kDeterministic});
+    sim::CycleEngine engine(net, {threads});
     if (tamper) engine.attach_adversary(*tamper);
     engine.run(kCycles);
     return state_digest(net);
@@ -211,8 +209,7 @@ TEST(AdversaryHookParallel, HookedDeterministicMatchesHookedSequential) {
     ASSERT_GT(seq_adv.forged_messages(), 0u);
     for (const unsigned threads : {2u, 4u}) {
       sim::Network par_net = make_net();
-      sim::ParallelCycleEngine par(
-          par_net, {threads, sim::ParallelPolicy::kDeterministic});
+      sim::CycleEngine par(par_net, {threads});
       AdversaryModel par_adv(config);
       par.attach_adversary(par_adv);
       par.run(kCycles);
@@ -295,22 +292,15 @@ TEST(AdversaryHookParallel, CycleEnginesMatchPinnedDigests) {
   for (const Golden& g : golden) {
     const AdversaryConfig config =
         g.forgery ? forgery_config(20, kN) : hub_config(20);
-    for (const unsigned lanes : {0u, 2u, 4u}) {
+    for (const unsigned lanes : {1u, 2u, 4u}) {
       SCOPED_TRACE(::testing::Message()
                    << g.spec.name() << (g.forgery ? " forgery" : " hub")
-                   << (lanes == 0 ? " CycleEngine" : " lanes=") << lanes);
+                   << " lanes=" << lanes);
       sim::Network net = make_net(kN, kC, kSeed, g.spec);
       AdversaryModel adversary(config);
-      if (lanes == 0) {
-        sim::CycleEngine engine(net);
-        engine.attach_adversary(adversary);
-        engine.run(kCycles);
-      } else {
-        sim::ParallelCycleEngine engine(
-            net, {lanes, sim::ParallelPolicy::kDeterministic});
-        engine.attach_adversary(adversary);
-        engine.run(kCycles);
-      }
+      sim::CycleEngine engine(net, {lanes});
+      engine.attach_adversary(adversary);
+      engine.run(kCycles);
       const std::uint64_t digest = state_digest(net);
       EXPECT_EQ(digest, g.digest) << "actual 0x" << std::hex << digest;
       EXPECT_EQ(adversary.forged_messages(), g.forged);
@@ -336,20 +326,11 @@ TEST(AdversaryHookParallel, OversizedForgeIsRefusedOnEveryEngine) {
       }
     }
   };
-  {
-    SCOPED_TRACE("CycleEngine");
+  for (const unsigned lanes : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "CycleEngine lanes=" << lanes);
     sim::Network net = make_net(n, c, kSeed);
     Oversized tamper;
-    sim::CycleEngine engine(net);
-    engine.attach_adversary(tamper);
-    EXPECT_THROW(engine.run(3), std::logic_error);
-  }
-  {
-    SCOPED_TRACE("ParallelCycleEngine");
-    sim::Network net = make_net(n, c, kSeed);
-    Oversized tamper;
-    sim::ParallelCycleEngine engine(
-        net, {2, sim::ParallelPolicy::kDeterministic});
+    sim::CycleEngine engine(net, {lanes});
     engine.attach_adversary(tamper);
     EXPECT_THROW(engine.run(3), std::logic_error);
   }
@@ -369,20 +350,13 @@ TEST(AdversaryHookParallel, HubPoisonSuppressesAgingOnCycleEngines) {
   // (bootstrap, self-pushes) or hop 1 (absorbed, +1 in-merge) and can
   // never grow older. A single missed suppress_aging check would push some
   // entry past hop 1.
-  for (const unsigned lanes : {0u, 4u}) {
-    SCOPED_TRACE(lanes == 0 ? "CycleEngine" : "ParallelCycleEngine");
+  for (const unsigned lanes : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
     sim::Network net = make_net();
     AdversaryModel adversary(hub_config(kN));  // everyone poisons
-    if (lanes == 0) {
-      sim::CycleEngine engine(net);
-      engine.attach_adversary(adversary);
-      engine.run(kCycles);
-    } else {
-      sim::ParallelCycleEngine engine(
-          net, {lanes, sim::ParallelPolicy::kDeterministic});
-      engine.attach_adversary(adversary);
-      engine.run(kCycles);
-    }
+    sim::CycleEngine engine(net, {lanes});
+    engine.attach_adversary(adversary);
+    engine.run(kCycles);
     for (NodeId id = 0; id < net.size(); ++id) {
       for (const auto& d : net.view_span(id)) {
         ASSERT_LE(d.hop_count, 1u) << "aged entry in node " << id;

@@ -5,9 +5,10 @@
 //      percentile-as-upper-edge rule, pinned value by value.
 //   3. Non-perturbation — a run with the tracing seam attached (disarmed
 //      OR armed) ends digest-identical to an untraced run, on every
-//      engine that carries the seam: CycleEngine, ParallelCycleEngine
-//      (deterministic, 2 and 4 lanes), EventEngine, ParallelEventEngine,
-//      and the ServiceNode/LoopbackDriver wire stack.
+//      engine that carries the seam: CycleEngine (1, 2 and 4 lanes),
+//      EventEngine, ParallelEventEngine, and the ServiceNode/LoopbackDriver
+//      wire stack; the cycle engine records the same spans at any lane
+//      count.
 //   4. Pull endpoint — serves the latest installed snapshot over real TCP;
 //      the threaded suite runs under TSan in CI.
 #include <gtest/gtest.h>
@@ -17,12 +18,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "pss/obs/profiler.hpp"
@@ -35,7 +39,6 @@
 #include "pss/sim/cycle_engine.hpp"
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/network.hpp"
-#include "pss/sim/parallel_cycle_engine.hpp"
 #include "pss/sim/parallel_event_engine.hpp"
 #include "pss/sim/trace_probe.hpp"
 #include "pss/transport/loopback_driver.hpp"
@@ -405,12 +408,58 @@ TEST(TraceProbeParallel, DeterministicCycleEngineUnperturbed) {
   for (const unsigned threads : {2u, 4u}) {
     expect_unperturbed(300, [threads](sim::Network& net,
                                       sim::TraceProbe* probe) {
-      sim::ParallelCycleEngine engine(
-          net, {threads, sim::ParallelPolicy::kDeterministic});
+      sim::CycleEngine engine(net, {threads});
       if (probe != nullptr) engine.attach_trace(*probe);
       engine.run(10);
     });
   }
+}
+
+TEST(TraceProbeParallel, CycleEngineSpansDoNotDependOnLaneCount) {
+  // Every span the cycle engine records, minus its wall clocks: one lane
+  // and three lanes must record the same multiset. Kills with eviction
+  // make failed contacts, and late joiners make empty views, so every
+  // step kind is traced.
+  using Key = std::tuple<TracePhase, NodeId, NodeId, std::uint64_t,
+                         std::uint64_t>;
+  struct SpanLog final : sim::TraceProbe {
+    std::mutex mutex;
+    std::vector<Key> spans;
+    bool armed() const override { return true; }
+    void record(const TraceSpan& s) override {
+      const std::lock_guard<std::mutex> lock(mutex);
+      spans.emplace_back(s.phase, s.node, s.peer, s.exchange_id, s.tick);
+    }
+  };
+  auto run = [](unsigned lanes) {
+    sim::Network net = sim::bootstrap::make_random(
+        ProtocolSpec::newscast(), ProtocolOptions{8, true}, 200, 42);
+    SpanLog log;
+    sim::CycleEngine engine(net, {lanes});
+    engine.attach_trace(log);
+    std::uint64_t initiators = 0;
+    for (Cycle cycle = 0; cycle < 10; ++cycle) {
+      if (cycle == 2) {
+        for (NodeId id = 0; id < 120; ++id) net.kill(id);
+      }
+      if (cycle == 5) net.add_nodes(5);
+      initiators += net.live_count();
+      engine.run_cycle();
+    }
+    std::uint64_t selects = 0, merges = 0;
+    for (const Key& k : log.spans) {
+      selects += std::get<0>(k) == TracePhase::kSelect;
+      merges += std::get<0>(k) == TracePhase::kMergeApply;
+    }
+    EXPECT_EQ(selects, initiators) << "lanes=" << lanes;
+    EXPECT_EQ(merges, engine.stats().exchanges) << "lanes=" << lanes;
+    EXPECT_EQ(selects + merges, log.spans.size()) << "lanes=" << lanes;
+    EXPECT_GT(engine.stats().failed_contacts, 0u) << "lanes=" << lanes;
+    EXPECT_GT(engine.stats().empty_views, 0u) << "lanes=" << lanes;
+    std::sort(log.spans.begin(), log.spans.end());
+    return std::move(log.spans);
+  };
+  EXPECT_EQ(run(1), run(3));
 }
 
 TEST(TraceProbeParallel, ParallelEventEngineUnperturbed) {
