@@ -76,11 +76,14 @@ BENCHMARK(BM_PushPullExchange);
 
 // --- Flat exchange kernels on a warmed overlay -----------------------------
 // Inputs come from a converged 1000-node Newscast overlay: for each of 1024
-// random (active, passive) pairs, the active node's buffer (its view plus
-// itself) and the passive node's view. Each iteration takes the next pair,
-// so the branch predictor cannot learn one merge: on a single repeated
-// input the kernels read several times faster than they run inside an
-// engine (docs/PERFORMANCE.md).
+// random active nodes, a passive peer drawn from its view with
+// flat::peer_rand (as every engine draws it), the active node's buffer (its
+// view plus itself) and the passive node's view. So the buffer holds the
+// passive node, and the two views overlap as an engine's exchanges do: the
+// merge meets its duplicates. Each iteration takes the next pair, so the
+// branch predictor cannot learn one merge: on a single repeated input the
+// kernels read several times faster than they run inside an engine
+// (docs/PERFORMANCE.md).
 
 struct ExchangeInputs {
   static constexpr std::size_t kPairs = 1024;
@@ -102,8 +105,8 @@ ExchangeInputs draw_inputs(const sim::Network& net) {
   Rng rng(14);
   while (in.passives.size() < ExchangeInputs::kPairs) {
     const auto active = static_cast<NodeId>(rng.below(net.size()));
-    const auto passive = static_cast<NodeId>(rng.below(net.size()));
-    if (active == passive) continue;
+    if (net.view_span(active).empty()) continue;
+    const NodeId passive = flat::peer_rand(net.view_span(active), rng);
     std::vector<NodeDescriptor> buffer(net.view_span(active).size() + 1);
     buffer.resize(flat::write_active_buffer(net.view_span(active), active,
                                             true, buffer.data()));

@@ -37,14 +37,22 @@ using DescSpan = std::span<const NodeDescriptor>;
 
 /// Small open-addressing set of addresses with generation-stamped slots, so
 /// clearing between merges is one counter bump instead of a memset. Each
-/// slot packs (generation << 32 | address) into one word — a probe is a
-/// single load, an insert a single store. Sized for merge buffers
-/// (<= 2c + 2 entries at c = 30); merge_into falls back to the sort-based
-/// path when a buffer could overrun it.
+/// slot packs (generation << 32 | address) into one word. Sized for merge
+/// buffers (<= 2c + 2 entries at c = 30): kMaxEntries keeps it at most 1/8
+/// full, and merge_into falls back to the sort-based path when a buffer
+/// could overrun it.
+///
+/// An insert loads its home slot once and xors it with the entry it would
+/// store. Zero is a duplicate; a nonzero generation half is a free slot
+/// (stamped by an older generation). Both store the entry (a no-op for the
+/// duplicate) and return with no branch, so a merge's duplicates cost no
+/// mispredict. Only a home slot that holds another address of this
+/// generation walks the linear-probe chain.
 class AddressSet {
  public:
-  static constexpr std::size_t kSlots = 256;
-  /// Entries a single merge may insert while staying under ~50% load.
+  static constexpr int kSlotBits = 10;
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  /// Entries a single merge may insert: at most 1/8 of the slots.
   static constexpr std::size_t kMaxEntries = 128;
 
   void reset() {
@@ -56,22 +64,32 @@ class AddressSet {
 
   /// Returns true when `addr` was not in the set (and inserts it).
   bool insert(NodeId addr) {
-    const std::uint64_t tag = (static_cast<std::uint64_t>(generation_) << 32);
-    const std::uint64_t entry = tag | addr;
-    std::size_t i = (addr * 2654435761u) & (kSlots - 1);
-    while ((table_[i] & kGenMask) == tag) {
-      if (table_[i] == entry) return false;
+    const std::uint64_t entry =
+        (static_cast<std::uint64_t>(generation_) << 32) | addr;
+    std::size_t i = home(addr);
+    std::uint64_t d = table_[i] ^ entry;
+    // 0 < d < 2^32: this generation, another address. Nothing is ever
+    // deleted, so `addr` lies on the chain before the first free slot.
+    while (d - 1 < kGenerationOne - 1) {
       i = (i + 1) & (kSlots - 1);
+      d = table_[i] ^ entry;
     }
     table_[i] = entry;
-    return true;
+    return d != 0;
+  }
+
+  /// The slot an insert of `addr` probes first: the top bits of a 32-bit
+  /// multiplicative hash, so every address bit moves it.
+  static std::size_t home(NodeId addr) {
+    return static_cast<NodeId>(addr * 2654435761u) >> (32 - kSlotBits);
   }
 
  private:
-  static constexpr std::uint64_t kGenMask = 0xFFFFFFFF00000000ULL;
+  static constexpr std::uint64_t kGenerationOne = std::uint64_t{1} << 32;
 
+  // Slots start at generation 0 and the set at 1, so a new set is empty.
   std::array<std::uint64_t, kSlots> table_{};
-  std::uint32_t generation_ = 0;
+  std::uint32_t generation_ = 1;
 };
 
 /// Reusable working memory for one exchange pipeline. Owned by whoever
@@ -413,17 +431,19 @@ inline std::size_t merge_select_head_arr(DescSpan a, DescSpan b, NodeId self,
   }
   // Extend through the boundary hop-class; the first survivor beyond it
   // proves truncation. Exhausting the inputs inside the class leaves the
-  // emitted count to decide.
+  // emitted count to decide. A duplicate is stored and overwritten, as in
+  // the loop above, so the only branch is the exit.
   const HopCount boundary_hop = cursor[-1].hop_count;
   bool truncated = false;
   for (; left != 0; --left) {
     const NodeDescriptor d = detail::from_key(stream.next());
-    if (!scratch.seen.insert(d.address)) continue;
-    if (d.hop_count != boundary_hop) {
+    const bool fresh = scratch.seen.insert(d.address);
+    if (fresh & (d.hop_count != boundary_hop)) {
       truncated = true;
       break;
     }
-    *cursor++ = d;
+    *cursor = d;
+    cursor += fresh;
   }
   const std::size_t total = static_cast<std::size_t>(cursor - base);
   if (total == c && !truncated) {

@@ -30,7 +30,7 @@
 // is safe because a node is single-threaded, nothing in the workspace
 // outlives one on_tick/on_frame call, and Transport::send() copies the
 // frame before it returns (see transport.hpp). A LoopbackDriver at 5*10^4
-// nodes would otherwise carry ~6.5 KB of cold scratch per node.
+// nodes would otherwise carry ~11 KB of cold scratch per node.
 
 #include <cstdint>
 #include <memory>

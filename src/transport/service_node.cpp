@@ -22,7 +22,7 @@ struct Workspace {
 
 Workspace& workspace(std::size_t view_size) {
   // Heap-allocated on the thread's first exchange: a thread that never runs
-  // a ServiceNode keeps one pointer of TLS, not ~6.6 KB it would zero on
+  // a ServiceNode keeps one pointer of TLS, not ~11 KB it would zero on
   // creation.
   thread_local std::unique_ptr<Workspace> ws;
   if (!ws) ws = std::make_unique<Workspace>();

@@ -48,12 +48,12 @@ std::uint64_t load_u64(const std::byte* p) {
 
 // decode's duplicate-address check: an open-addressing set whose slots pack
 // (generation << 32 | address), so emptying it between frames is one
-// counter bump (flat::AddressSet's scheme). Unlike that fixed 256-slot
-// table it is sized from each frame's count, so every capacity the codec
-// accepts takes this one path. It is kept at most 1/16 full: each extra
-// probe is a mispredicted branch, and a 31-record decode measured 235, 130,
-// 100 and 82 ns at 1/2, 1/4, 1/8 and 1/16 load (4-vCPU KVM Xeon, GCC 12).
-// At c = 30 that is a 4 KB table.
+// counter bump (flat::AddressSet's scheme). Unlike that table, fixed at
+// AddressSet::kSlots for merge buffers, it is sized from each frame's
+// count, so every capacity the codec accepts takes this one path. It is
+// kept at most 1/16 full: each extra probe is a mispredicted branch, and a
+// 31-record decode measured 235, 130, 100 and 82 ns at 1/2, 1/4, 1/8 and
+// 1/16 load (4-vCPU KVM Xeon, GCC 12). At c = 30 that is a 4 KB table.
 class RecordAddressSet {
  public:
   /// Empties the set and readies it for `count` inserts.

@@ -1,14 +1,18 @@
 // Seeded differential fuzz of the merge and view-selection kernels
 // (flat_ops.hpp) against the scalar kernel they replaced, kept below as the
-// oracle: a branchy two-pointer merge stream, Rng::sample_indices_into for
-// the picks and an insertion sort to order them. The kernels under test
-// stream a branch-free merge over sentinel-padded keys and mark their picks
+// oracle: a branchy two-pointer merge stream, a std::unordered_set for the
+// dedup, Rng::sample_indices_into for the picks and an insertion sort to
+// order them. The kernels under test stream a branch-free merge over
+// sentinel-padded keys, dedup through flat::AddressSet and mark their picks
 // in a bitset instead. Every digest and golden in the suite depends on the
 // two agreeing byte for byte, so each trial compares the output arrays and
-// the generator state after the call.
+// the generator state after the call. Direct tests of flat::AddressSet's
+// collision chains close the file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "pss/common/rng.hpp"
@@ -34,7 +38,7 @@ struct Scratch {
   std::vector<std::size_t> picks;
   std::vector<std::size_t> fy;
   std::vector<NodeDescriptor> sel;
-  flat::AddressSet seen;
+  std::unordered_set<NodeId> seen;
   std::vector<NodeDescriptor> arr;  ///< merge_select_head_arr's output
 };
 
@@ -71,9 +75,9 @@ void merge_into(flat::DescSpan a, flat::DescSpan b,
     return;
   }
   const std::uint64_t age_key = static_cast<std::uint64_t>(age_a) << 32;
-  s.seen.reset();
+  s.seen.clear();
   auto emit = [&](const NodeDescriptor& d) {
-    if (s.seen.insert(d.address)) out.push_back(d);
+    if (s.seen.insert(d.address).second) out.push_back(d);
   };
   std::size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
@@ -153,11 +157,11 @@ void merge_select_head_arr(flat::DescSpan a, flat::DescSpan b, NodeId self,
     }
     return true;
   };
-  s.seen.reset();
+  s.seen.clear();
   auto next_survivor = [&](NodeDescriptor& d) -> bool {
     while (next_raw(d)) {
       if (d.address == self) continue;
-      if (!s.seen.insert(d.address)) continue;
+      if (!s.seen.insert(d.address).second) continue;
       return true;
     }
     return false;
@@ -192,12 +196,14 @@ void merge_select_head_arr(flat::DescSpan a, flat::DescSpan b, NodeId self,
 
 /// A normalized run of at most `max_size` entries over `addresses`
 /// addresses and `hops` hop values: few hops make heavy ties, few addresses
-/// make cross-side duplicates.
+/// make cross-side duplicates. Given a `pool`, address i is pool[i].
 std::vector<NodeDescriptor> random_run(Rng& rng, std::size_t max_size,
-                                       NodeId addresses, HopCount hops) {
+                                       NodeId addresses, HopCount hops,
+                                       const std::vector<NodeId>* pool) {
   std::vector<NodeDescriptor> v(static_cast<std::size_t>(rng.below(max_size + 1)));
   for (NodeDescriptor& d : v) {
-    d = {static_cast<NodeId>(rng.below(addresses)),
+    const auto i = static_cast<NodeId>(rng.below(addresses));
+    d = {pool != nullptr ? (*pool)[i] : i,
          static_cast<HopCount>(rng.below(hops))};
   }
   flat::normalize(v);
@@ -216,26 +222,43 @@ struct Pair {
 /// several shapes: both sides empty or one side empty at the extremes,
 /// address spaces from 8 (nearly every address on both sides) to 10^4,
 /// hop ranges from 1 (one tie class) to 16. Self is an input address half
-/// the time.
-Pair random_pair(Rng& rng, std::size_t max_total) {
+/// the time. Given a `pool`, the addresses are the pool's, and self is a
+/// pool address the other half of the time.
+Pair random_pair(Rng& rng, std::size_t max_total,
+                 const std::vector<NodeId>* pool = nullptr) {
   static constexpr NodeId kAddresses[] = {8, 40, 200, 10000};
   static constexpr HopCount kHops[] = {1, 2, 4, 16};
-  const NodeId addresses = kAddresses[rng.below(4)];
+  const NodeId addresses = pool != nullptr
+                               ? static_cast<NodeId>(pool->size())
+                               : kAddresses[rng.below(4)];
   const HopCount hops = kHops[rng.below(4)];
   const auto max_a = static_cast<std::size_t>(rng.below(max_total + 1));
   Pair p;
-  p.a = random_run(rng, max_a, addresses, hops);
-  p.b = random_run(rng, max_total - p.a.size(), addresses, hops);
+  p.a = random_run(rng, max_a, addresses, hops, pool);
+  p.b = random_run(rng, max_total - p.a.size(), addresses, hops, pool);
   p.age = static_cast<HopCount>(rng.below(3));
   const std::size_t present = p.a.size() + p.b.size();
   if (present != 0 && rng.chance(0.5)) {
     const auto at = static_cast<std::size_t>(rng.below(present));
     p.self = at < p.a.size() ? p.a[at].address : p.b[at - p.a.size()].address;
+  } else if (pool != nullptr) {
+    p.self = (*pool)[rng.below(addresses)];
   } else {
     p.self = addresses + 1;
   }
   return p;
 }
+
+/// The first `n` addresses whose flat::AddressSet home slot is `slot`.
+std::vector<NodeId> homed_at(std::size_t slot, std::size_t n) {
+  std::vector<NodeId> out;
+  for (NodeId a = 0; out.size() < n; ++a) {
+    if (flat::AddressSet::home(a) == slot) out.push_back(a);
+  }
+  return out;
+}
+
+constexpr std::size_t kLastSlot = flat::AddressSet::kSlots - 1;
 
 /// Asserts that two generators sit at the same stream position.
 void expect_same_stream(Rng expected, Rng actual, const char* what) {
@@ -366,6 +389,140 @@ TEST(SelectKernelFuzz, OversizedAdapterPathMatchesScalarOracle) {
       expect_same_stream(expected_rng, actual_rng, "merge_select_head");
     }
   }
+}
+
+TEST(SelectKernelFuzz, CollidingAddressesMatchScalarOracle) {
+  // Every address shares one of four adjacent home slots, kLastSlot - 1 to
+  // 1, so all but the first few inserts of a merge walk a collision chain,
+  // and duplicates are found behind one. Pairs are redrawn until they hold
+  // two distinct addresses homed at kLastSlot, so every trial's merge_into
+  // wraps a chain from the last slot to slot 0.
+  const std::pair<std::size_t, std::size_t> groups[] = {
+      {kLastSlot - 1, 8}, {kLastSlot, 24}, {0, 8}, {1, 8}};
+  std::vector<NodeId> pool;
+  for (const auto& [slot, n] : groups) {
+    const std::vector<NodeId> homed = homed_at(slot, n);
+    pool.insert(pool.end(), homed.begin(), homed.end());
+  }
+  const auto wraps = [](const Pair& p) {
+    std::unordered_set<NodeId> last;
+    for (const auto* side : {&p.a, &p.b}) {
+      for (const NodeDescriptor& d : *side) {
+        if (flat::AddressSet::home(d.address) == kLastSlot) {
+          last.insert(d.address);
+        }
+      }
+    }
+    return last.size() >= 2;
+  };
+  Rng rng(0xF0225);
+  flat::Scratch scratch;
+  oracle::Scratch ref;
+  std::vector<NodeDescriptor> expected, actual;
+  for (const std::size_t c : kViewSizes) {
+    for (int trial = 0; trial < 1500; ++trial) {
+      Pair p = random_pair(rng, flat::AddressSet::kMaxEntries, &pool);
+      while (!wraps(p)) {
+        p = random_pair(rng, flat::AddressSet::kMaxEntries, &pool);
+      }
+      oracle::merge_into(p.a, p.b, expected, ref, p.age);
+      flat::merge_into(p.a, p.b, actual, scratch, p.age);
+      ASSERT_EQ(expected, actual) << "merge_into trial=" << trial;
+      const std::uint64_t seed = rng();
+      Rng expected_rng(seed), actual_rng(seed);
+      oracle::merge_select_head_arr(p.a, p.b, p.self, c, expected_rng, ref,
+                                    p.age);
+      const std::size_t n = flat::merge_select_head_arr(
+          p.a, p.b, p.self, c, actual_rng, scratch, p.age);
+      ASSERT_EQ(std::vector<NodeDescriptor>(scratch.merge_arr.begin(),
+                                            scratch.merge_arr.begin() +
+                                                static_cast<std::ptrdiff_t>(n)),
+                ref.arr)
+          << "c=" << c << " trial=" << trial;
+      expect_same_stream(expected_rng, actual_rng, "merge_select_head_arr");
+    }
+  }
+}
+
+// --- flat::AddressSet's collision chains -----------------------------------
+
+TEST(AddressSet, NewSetIsEmpty) {
+  // No reset() yet. Were the new set's generation the one its zeroed slots
+  // carry, 0 would read as present and any other address would probe
+  // forever, hence the ASSERT before the second insert.
+  flat::AddressSet set;
+  ASSERT_TRUE(set.insert(0));
+  EXPECT_TRUE(set.insert(5));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_FALSE(set.insert(5));
+}
+
+TEST(AddressSet, AddressesSharingAHomeSlotAreAllKept) {
+  const std::vector<NodeId> same = homed_at(500, 8);
+  flat::AddressSet set;
+  set.reset();
+  for (const NodeId a : same) EXPECT_TRUE(set.insert(a)) << a;
+  for (const NodeId a : same) EXPECT_FALSE(set.insert(a)) << a;
+}
+
+TEST(AddressSet, DuplicateIsFoundBehindACollisionChain) {
+  // Three addresses homed at 500 take slots 500-502. One homed at 501
+  // probes past them to 503, and one homed at 502 to 504; then one homed
+  // at 504 finds its home taken and lands on 505.
+  const std::vector<NodeId> chain = homed_at(500, 3);
+  const NodeId at501 = homed_at(501, 1)[0];
+  const NodeId at502 = homed_at(502, 1)[0];
+  const NodeId at504 = homed_at(504, 1)[0];
+  flat::AddressSet set;
+  set.reset();
+  for (const NodeId a : chain) ASSERT_TRUE(set.insert(a)) << a;
+  EXPECT_TRUE(set.insert(at501));
+  EXPECT_TRUE(set.insert(at502));
+  EXPECT_TRUE(set.insert(at504));
+  EXPECT_FALSE(set.insert(chain[2]));
+  EXPECT_FALSE(set.insert(at501));
+  EXPECT_FALSE(set.insert(at502));
+  EXPECT_FALSE(set.insert(at504));
+  EXPECT_FALSE(set.insert(chain[0]));
+}
+
+TEST(AddressSet, ProbeChainWrapsFromTheLastSlotToTheFirst) {
+  const std::vector<NodeId> last = homed_at(kLastSlot, 3);
+  const std::vector<NodeId> first = homed_at(0, 2);
+  flat::AddressSet set;
+  set.reset();
+  EXPECT_TRUE(set.insert(last[0]));   // the last slot
+  EXPECT_TRUE(set.insert(last[1]));   // wraps to slot 0
+  EXPECT_TRUE(set.insert(first[0]));  // its home is taken: slot 1
+  EXPECT_TRUE(set.insert(last[2]));   // the last slot, 0 and 1 taken: slot 2
+  EXPECT_TRUE(set.insert(first[1]));  // slot 3
+  for (const NodeId a : last) EXPECT_FALSE(set.insert(a)) << a;
+  for (const NodeId a : first) EXPECT_FALSE(set.insert(a)) << a;
+
+  // A full merge's worth of addresses on one home slot near the end: the
+  // chain runs over the wrap and every entry stays findable.
+  const std::vector<NodeId> long_chain =
+      homed_at(kLastSlot - 20, flat::AddressSet::kMaxEntries);
+  set.reset();
+  for (const NodeId a : long_chain) EXPECT_TRUE(set.insert(a)) << a;
+  for (const NodeId a : long_chain) EXPECT_FALSE(set.insert(a)) << a;
+}
+
+TEST(AddressSet, ResetForgetsEveryAddress) {
+  // After a reset the old generation's entries are free slots, even where
+  // one holds the very address being inserted.
+  const std::vector<NodeId> chain = homed_at(7, 4);
+  flat::AddressSet set;
+  set.reset();
+  for (const NodeId a : chain) ASSERT_TRUE(set.insert(a)) << a;
+  ASSERT_TRUE(set.insert(kInvalidNode));
+  set.reset();
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    EXPECT_TRUE(set.insert(*it)) << *it;
+  }
+  EXPECT_TRUE(set.insert(kInvalidNode));
+  for (const NodeId a : chain) EXPECT_FALSE(set.insert(a)) << a;
+  EXPECT_FALSE(set.insert(kInvalidNode));
 }
 
 }  // namespace
