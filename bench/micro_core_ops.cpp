@@ -2,8 +2,9 @@
 // selection (object-graph and fused flat variants), a full pushpull
 // exchange, scheduler schedule/pop (calendar queue vs. binary heap), one
 // simulation cycle at several network sizes, graph snapshot construction
-// and the metric estimators. These bound the cost of the experiment harness
-// and catch performance regressions in the exchange path.
+// and the metric estimators, and the streaming census's rebuild and
+// estimators. These bound the cost of the experiment harness and catch
+// performance regressions in the exchange and measurement paths.
 #include <benchmark/benchmark.h>
 
 #include <queue>
@@ -13,6 +14,7 @@
 #include "pss/graph/undirected_graph.hpp"
 #include "pss/membership/flat_ops.hpp"
 #include "pss/membership/view.hpp"
+#include "pss/obs/graph_census.hpp"
 #include "pss/protocol/flat_exchange.hpp"
 #include "pss/protocol/gossip_node.hpp"
 #include "pss/sim/bootstrap.hpp"
@@ -313,6 +315,51 @@ void BM_ConnectedComponents(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConnectedComponents);
+
+// --- GraphCensus on the same overlay ----------------------------------------
+// The arena-native census every figure driver measures through: one rebuild
+// (degrees, mutual bits, components) and its two sampled estimators, with
+// the sample sizes of the graph/ rungs above.
+
+sim::Network census_overlay() {
+  auto net = sim::bootstrap::make_random(ProtocolSpec::newscast(),
+                                         ProtocolOptions{30, false}, 10000, 42);
+  sim::CycleEngine engine(net);
+  engine.run(5);
+  return net;
+}
+
+void BM_CensusRebuild(benchmark::State& state) {
+  const auto net = census_overlay();
+  obs::GraphCensus census;
+  for (auto _ : state) {
+    census.rebuild(net);
+    benchmark::DoNotOptimize(census.undirected_edge_count());
+  }
+}
+BENCHMARK(BM_CensusRebuild)->Unit(benchmark::kMillisecond);
+
+void BM_CensusClustering(benchmark::State& state) {
+  const auto net = census_overlay();
+  obs::GraphCensus census;
+  census.rebuild(net);
+  Rng rng(9);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(census.clustering_sampled(1000, rng));
+  }
+}
+BENCHMARK(BM_CensusClustering)->Unit(benchmark::kMillisecond);
+
+void BM_CensusPathLength(benchmark::State& state) {
+  const auto net = census_overlay();
+  obs::GraphCensus census;
+  census.rebuild(net);
+  Rng rng(10);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(census.path_length_sampled(100, rng));
+  }
+}
+BENCHMARK(BM_CensusPathLength)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "pss/common/check.hpp"
 
@@ -48,6 +47,17 @@ Chunk lane_chunk(std::size_t total, unsigned lanes, unsigned lane) {
   const std::size_t first =
       lane * per + std::min<std::size_t>(lane, rem);
   return {first, first + per + (lane < rem ? 1 : 0)};
+}
+
+/// Address w's bit within its word of an N-bit set.
+std::uint64_t bit(NodeId w) { return std::uint64_t{1} << (w & 63); }
+
+/// Grows a lane's N-bit address set to cover addresses [0, n) and returns
+/// its words. Users leave the set all-zero, so growth only appends zeros.
+std::uint64_t* address_set(std::vector<std::uint64_t>& set, std::size_t n) {
+  const std::size_t words = (n + 63) / 64;
+  if (set.size() < words) set.resize(words, 0);
+  return set.data();
 }
 
 }  // namespace
@@ -109,15 +119,11 @@ void GraphCensus::rebuild(const sim::Network& network) {
       directed_edges_ += out;
     }
   } else {
-    struct Tally {
-      std::uint64_t directed = 0, dead = 0, cross = 0;
-    };
-    std::vector<Tally> tallies(lanes);
     pool_->run([&](unsigned lane) {
       LaneScratch& sc = lanes_[lane];
       sc.in_cnt.assign(n, 0);
       const Chunk ch = lane_chunk(live_list_.size(), lanes, lane);
-      Tally t;
+      sc.directed = sc.dead = sc.cross = 0;
       for (std::size_t i = ch.first; i < ch.last; ++i) {
         const NodeId v = live_list_[i];
         const std::uint32_t gv = partitioned ? network.partition_group(v) : 0;
@@ -125,23 +131,22 @@ void GraphCensus::rebuild(const sim::Network& network) {
         for (const NodeDescriptor& d : network.view_span(v)) {
           const NodeId w = d.address;
           if (w >= n || !network.is_live(w)) {
-            ++t.dead;
+            ++sc.dead;
             continue;
           }
           if (w == v) continue;
-          if (partitioned && network.partition_group(w) != gv) ++t.cross;
+          if (partitioned && network.partition_group(w) != gv) ++sc.cross;
           ++out;
           ++sc.in_cnt[w];
         }
         out_deg_[v] = out;
-        t.directed += out;
+        sc.directed += out;
       }
-      tallies[lane] = t;
     });
-    for (const Tally& t : tallies) {
-      directed_edges_ += t.directed;
-      dead_links_ += t.dead;
-      cross_links_ += t.cross;
+    for (unsigned lane = 0; lane < lanes; ++lane) {
+      directed_edges_ += lanes_[lane].directed;
+      dead_links_ += lanes_[lane].dead;
+      cross_links_ += lanes_[lane].cross;
     }
     for (std::size_t w = 0; w < n; ++w) {
       std::uint32_t total = 0;
@@ -200,57 +205,51 @@ void GraphCensus::rebuild(const sim::Network& network) {
     });
   }
 
-  // Pass 3 — undirected-union degrees: out + in − mutual, where mutual
-  // counts targets w of v that also point at v (one binary search per
-  // descriptor into v's own sorted in-list). Reads are shared (the CSR is
-  // frozen now), und_deg_[v] has one writer, and the per-lane sum/max
-  // partials merge exactly in lane order.
+  // Pass 3 — mutual bits and undirected-union degrees. v's in-list goes
+  // into the lane's address set; then view entry k of v is mutual exactly
+  // when its target's bit is set. In-lists hold only live non-self sources,
+  // so a dead, self or out-of-range target never finds its bit: the range
+  // check is the only filter. The bits are stored per view entry (read
+  // back by the clustering sweep), the set words the in-list touched are
+  // zeroed again, and und = out + in − mutual. Reads are shared (the CSR
+  // is frozen now), a node's degree and mutual words have one writer, and
+  // the per-lane sum/max partials merge exactly in lane order.
+  mutual_words_ = (c + 63) / 64;
+  mutual_.resize(n * mutual_words_);
   und_deg_.assign(n, 0);
-  std::size_t max_deg = 0;
-  std::uint64_t und_sum = 0;
-  if (lanes == 1) {
-    for (const NodeId v : live_list_) {
+  fan_out(lanes, [&](unsigned lane) {
+    LaneScratch& sc = lanes_[lane];
+    std::uint64_t* const set = address_set(sc.set, n);
+    const Chunk ch = lane_chunk(live_list_.size(), lanes, lane);
+    sc.und_sum = 0;
+    sc.und_max = 0;
+    for (std::size_t i = ch.first; i < ch.last; ++i) {
+      const NodeId v = live_list_[i];
       const std::span<const NodeId> sources = in_list(v);
+      for (const NodeId w : sources) set[w >> 6] |= bit(w);
+      std::uint64_t* const bits = mutual_.data() + v * mutual_words_;
+      std::fill_n(bits, mutual_words_, 0);
       std::uint32_t mutual = 0;
+      std::size_t k = 0;
       for (const NodeDescriptor& d : network.view_span(v)) {
         const NodeId w = d.address;
-        if (w == v || w >= n || !network.is_live(w)) continue;
-        if (std::binary_search(sources.begin(), sources.end(), w)) ++mutual;
+        const std::uint64_t m = w < n ? (set[w >> 6] >> (w & 63)) & 1 : 0;
+        bits[k >> 6] |= m << (k & 63);
+        mutual += static_cast<std::uint32_t>(m);
+        ++k;
       }
+      for (const NodeId w : sources) set[w >> 6] = 0;
       const std::uint32_t und = out_deg_[v] + in_degree(v) - mutual;
       und_deg_[v] = und;
-      und_sum += und;
-      max_deg = std::max<std::size_t>(max_deg, und);
+      sc.und_sum += und;
+      sc.und_max = std::max<std::size_t>(sc.und_max, und);
     }
-  } else {
-    struct DegTally {
-      std::uint64_t sum = 0;
-      std::size_t max = 0;
-    };
-    std::vector<DegTally> tallies(lanes);
-    pool_->run([&](unsigned lane) {
-      const Chunk ch = lane_chunk(live_list_.size(), lanes, lane);
-      DegTally t;
-      for (std::size_t i = ch.first; i < ch.last; ++i) {
-        const NodeId v = live_list_[i];
-        const std::span<const NodeId> sources = in_list(v);
-        std::uint32_t mutual = 0;
-        for (const NodeDescriptor& d : network.view_span(v)) {
-          const NodeId w = d.address;
-          if (w == v || w >= n || !network.is_live(w)) continue;
-          if (std::binary_search(sources.begin(), sources.end(), w)) ++mutual;
-        }
-        const std::uint32_t und = out_deg_[v] + in_degree(v) - mutual;
-        und_deg_[v] = und;
-        t.sum += und;
-        t.max = std::max<std::size_t>(t.max, und);
-      }
-      tallies[lane] = t;
-    });
-    for (const DegTally& t : tallies) {
-      und_sum += t.sum;
-      max_deg = std::max(max_deg, t.max);
-    }
+  });
+  std::size_t max_deg = 0;
+  std::uint64_t und_sum = 0;
+  for (unsigned lane = 0; lane < lanes; ++lane) {
+    und_sum += lanes_[lane].und_sum;
+    max_deg = std::max(max_deg, lanes_[lane].und_max);
   }
   undirected_edges_ = und_sum / 2;
 
@@ -273,8 +272,7 @@ void GraphCensus::rebuild(const sim::Network& network) {
       live_list_, [this](NodeId id) { return std::size_t{out_deg_[id]}; });
 
   // Pass 4 — connected components by union-find over view slots. Stays
-  // serial: path-halving mutates shared parent chains, and the pass is
-  // O(N·c·α) of pointer chasing against pass 3's O(N·c·log) searches.
+  // serial: path-halving mutates shared parent chains.
   parent_.resize(n);
   comp_size_.resize(n);
   for (const NodeId v : live_list_) {
@@ -335,48 +333,58 @@ double GraphCensus::local_clustering(NodeId v, LaneScratch& sc) const {
   if (d < 2) return 0;
   const sim::Network& network = *net_;
   const std::size_t n = network.size();
-  // This pick issues d + 1 consecutive epochs: `base` marks N(v), then one
-  // per member a dedups a's walk. Earlier picks' epochs are all below
-  // `base`, so mark[w] >= base  <=>  w ∈ N(v).
-  if (sc.epoch > std::numeric_limits<std::uint32_t>::max() - d - 1) {
-    std::fill(sc.mark.begin(), sc.mark.end(), 0);  // u32 wrap, ~never
-    sc.epoch = 0;
-  }
-  const std::uint32_t base = ++sc.epoch;
-  sc.nbhd.clear();
-  const auto join = [&](NodeId w) {
-    if (sc.mark[w] != base) {
-      sc.mark[w] = base;
-      sc.nbhd.push_back(w);
-    }
+  std::uint64_t* const set = sc.set.data();
+  const std::span<const NodeId> sources = in_list(v);
+  const std::span<const NodeDescriptor> view = network.view_span(v);
+  const std::uint64_t* const v_bits = mutual_.data() + v * mutual_words_;
+  const auto mutual_bit = [](const std::uint64_t* bits, std::size_t k) {
+    return (bits[k >> 6] >> (k & 63)) & 1;
   };
-  for (const NodeDescriptor& desc : network.view_span(v)) {
+  // N(v) is v's in-list plus its live non-self out-targets; an out-target
+  // carrying a mutual bit is already in the in-list, so listing the
+  // members that way visits each exactly once.
+  for (const NodeId w : sources) set[w >> 6] |= bit(w);
+  for (const NodeDescriptor& desc : view) {
     const NodeId w = desc.address;
     if (w == v || w >= n || !network.is_live(w)) continue;
-    join(w);
+    set[w >> 6] |= bit(w);
   }
-  for (const NodeId w : in_list(v)) join(w);
-  PSS_DCHECK(sc.nbhd.size() == d);
-  // Σ over a ∈ N(v) of a's distinct neighbours inside N(v): every
-  // undirected edge among N(v) is counted once from each end. Only live
-  // members of N(v) carry a mark >= base, so dead targets need no
-  // liveness test — just the range check and skipping a's own address.
-  std::uint64_t ends = 0;
-  for (const NodeId a : sc.nbhd) {
-    const std::uint32_t own = ++sc.epoch;
-    const auto count = [&](NodeId w) {
-      if (sc.mark[w] >= base && sc.mark[w] != own) {
-        sc.mark[w] = own;
-        ++ends;
-      }
-    };
+  // One sweep of each member a's view: `directed` counts a's entries
+  // pointing into N(v), `mutual` those of them whose target points back.
+  // A mutual pair is one undirected edge seen from both ends, so the
+  // edges among N(v) number directed − mutual/2. Only live members carry
+  // a bit, so dead targets need no liveness test — just the range check
+  // and skipping a's own address.
+  std::uint64_t directed = 0, mutual = 0;
+  const auto sweep = [&](NodeId a) {
+    const std::uint64_t* const a_bits = mutual_.data() + a * mutual_words_;
+    std::size_t k = 0;
     for (const NodeDescriptor& desc : network.view_span(a)) {
       const NodeId w = desc.address;
-      if (w != a && w < n) count(w);
+      const std::uint64_t m =
+          w < n && w != a ? (set[w >> 6] >> (w & 63)) & 1 : 0;
+      directed += m;
+      mutual += m & mutual_bit(a_bits, k);
+      ++k;
     }
-    for (const NodeId w : in_list(a)) count(w);
+  };
+  for (const NodeId a : sources) sweep(a);
+  std::size_t members = sources.size();
+  std::size_t k = 0;
+  for (const NodeDescriptor& desc : view) {
+    const NodeId w = desc.address;
+    if (w != v && w < n && network.is_live(w) && !mutual_bit(v_bits, k)) {
+      sweep(w);
+      ++members;
+    }
+    ++k;
   }
-  const std::uint64_t links = ends / 2;
+  PSS_DCHECK(members == d);
+  for (const NodeId w : sources) set[w >> 6] = 0;
+  for (const NodeDescriptor& desc : view) {
+    if (desc.address < n) set[desc.address >> 6] = 0;
+  }
+  const std::uint64_t links = directed - mutual / 2;
   return 2.0 * static_cast<double>(links) /
          (static_cast<double>(d) * static_cast<double>(d - 1));
 }
@@ -388,7 +396,6 @@ double GraphCensus::clustering_sampled(std::size_t sample, Rng& rng) {
   pick_live_nodes(sample, rng);
   const std::size_t count = picks_.size();
   const std::size_t net_n = net_->size();
-  const std::size_t max_deg = hist_.size() - 1;
   pick_clust_.resize(count);
   // Each pick's coefficient is a pure function of the frozen census, so
   // lanes compute contiguous chunks independently; the serial pick-order
@@ -396,12 +403,7 @@ double GraphCensus::clustering_sampled(std::size_t sample, Rng& rng) {
   const unsigned lanes = lanes_for(count);
   fan_out(lanes, [&](unsigned lane) {
     LaneScratch& sc = lanes_[lane];
-    if (sc.mark.size() < net_n) sc.mark.resize(net_n, 0);  // 0 < any base
-    if (sc.nbhd.capacity() < max_deg) {
-      // 2x headroom (floor 512) so ordinary max-degree drift never
-      // re-allocates, as with the histogram.
-      sc.nbhd.reserve(std::max<std::size_t>(512, 2 * max_deg));
-    }
+    address_set(sc.set, net_n);
     const Chunk ch = lane_chunk(count, lanes, lane);
     for (std::size_t i = ch.first; i < ch.last; ++i) {
       pick_clust_[i] = local_clustering(live_list_[picks_[i]], sc);
@@ -516,12 +518,12 @@ std::size_t GraphCensus::storage_bytes() const {
   for (const LaneScratch& sc : lanes_) {
     lane_bytes += sc.in_cnt.capacity() * sizeof(std::uint32_t) +
                   sc.cursor.capacity() * sizeof(std::size_t) +
-                  sc.mark.capacity() * sizeof(std::uint32_t) +
-                  sc.nbhd.capacity() * sizeof(NodeId);
+                  sc.set.capacity() * sizeof(std::uint64_t);
   }
   return live_list_.capacity() * sizeof(NodeId) +
          out_deg_.capacity() * sizeof(std::uint32_t) +
          und_deg_.capacity() * sizeof(std::uint32_t) +
+         mutual_.capacity() * sizeof(std::uint64_t) +
          in_off_.capacity() * sizeof(std::size_t) +
          in_nbr_.capacity() * sizeof(NodeId) +
          cursor_.capacity() * sizeof(std::size_t) +

@@ -16,23 +16,29 @@
 //     pass 2  fills an implicit in-edge CSR into persistent buffers (the
 //             count/fill idiom); iterating sources in ascending address
 //             order makes every in-list arrive sorted for free;
-//     pass 3  undirected-union degree per node as
+//     pass 3  mutual bits and the undirected-union degree per node. v's
+//             in-list is set in a per-lane N-bit address set; each of
+//             v's view entries then reads its target's bit — set exactly
+//             when the target points back — and stores it as one bit per
+//             view entry (⌈c/64⌉ words per node), and the set words are
+//             cleared again. The degree is
 //                out + in − |out ∩ in|
-//             (the mutual-edge correction, one binary search per
-//             descriptor into the node's own sorted in-list), streamed
-//             into the degree histogram and the three degree summaries;
+//             with the mutual bits as the correction, streamed into the
+//             degree histogram and the three degree summaries;
 //     pass 4  connected components by union-find over view slots (path
 //             halving + union by size).
 //
 //   Sampled estimators (clustering, path length) then run on demand over
 //   the implicit adjacency — a node's undirected neighbourhood is its view
 //   span unioned with its in-list:
-//     clustering   counts marks instead of testing pairs: stamp N(v), then
-//                  for each a ∈ N(v) walk a's out-list and in-list and
-//                  count the distinct neighbours carrying the stamp (a
-//                  second, per-a epoch dedups mutual entries). Half the sum
-//                  is the number of edges among N(v) — O(Σ deg) per pick
-//                  instead of O(deg² · log deg) edge lookups;
+//     clustering   counts bits instead of testing pairs: set N(v) in the
+//                  lane's address set, then sweep each member a's view
+//                  once, adding member(w) to D and member(w) & mutual(a, k)
+//                  to M. D counts every edge among N(v) once per direction
+//                  it is stored in, M each mutual edge twice, so the edges
+//                  among N(v) number D − M/2 — the same integer the exact
+//                  module counts, in O(Σ out-degree) per pick instead of
+//                  O(deg² · log deg) edge lookups, and no in-list walks;
 //     path length  runs a bit-parallel multi-source BFS: up to 64 sources
 //                  per batch, one u64 per node each for seen, frontier and
 //                  next. A level is one pull sweep over the live list that
@@ -47,16 +53,17 @@
 // count. The decomposition is deterministic by construction: lanes own
 // contiguous chunks of the ascending live list (or pick list; for the BFS,
 // of each level's sweep), every shared array cell has exactly one writer
-// (out/und degrees and BFS words by node; the in-CSR through per-lane
-// cursor bases derived from per-lane counts, which also keeps each in-list
-// sorted), and cross-lane reductions are either exact integers merged in
-// lane order or per-pick values reduced serially in pick order — so no
-// floating-point reassociation and no write order can differ from the
-// sequential pass. The estimators have no separate serial code: without a
-// pool they run the same per-lane task once, as lane 0. Union-find (pass 4)
-// and the histogram/summary folds stay serial: they are O(N) against the
-// O(N·c) passes and the summary's double accumulation order is part of the
-// bit-equality contract with graph::degree_summary.
+// (out/und degrees, mutual-bit words and BFS words by node; the in-CSR
+// through per-lane cursor bases derived from per-lane counts, which also
+// keeps each in-list sorted), and cross-lane reductions are either exact
+// integers merged in lane order or per-pick values reduced serially in pick
+// order — so no floating-point reassociation and no write order can differ
+// from the sequential pass. Pass 3 and the estimators have no separate
+// serial code: without a pool they run the same per-lane task once, as
+// lane 0. Union-find (pass 4) and the histogram/summary folds stay serial:
+// they are O(N) against the O(N·c) passes and the summary's double
+// accumulation order is part of the bit-equality contract with
+// graph::degree_summary.
 //
 // Equivalence contract (pinned by tests/obs_test.cpp):
 //   - degree histogram, component count/largest/size multiset: bit-equal
@@ -73,15 +80,16 @@
 //     exact module satisfies.
 //
 // Allocation discipline: every buffer is a persistent member sized on the
-// first rebuild or estimator call (the warm-up) — the BFS words once,
-// the clustering marks and neighbourhood list once per lane; subsequent
-// snapshots of a same-sized network allocate nothing — the in-CSR is reserved at its hard ceiling of
-// n·view_capacity entries, and the degree-indexed buffers carry 2x
-// headroom over the warm-up snapshot's max degree, so re-allocating one
-// takes a doubling of the max degree (a protocol regime change, not
-// steady-state drift). bench/scale_metrics verifies the
-// zero-steady-state-allocation claim with a whole-process operator-new
-// counter.
+// first rebuild or estimator call (the warm-up) — the BFS words and the
+// mutual bits (8·⌈c/64⌉ bytes per address) once, the N-bit address set
+// once per lane; subsequent snapshots of a same-sized network allocate
+// nothing — the in-CSR is reserved at its hard ceiling of n·view_capacity
+// entries, and the histogram carries 2x headroom over the warm-up
+// snapshot's max degree, so re-allocating it takes a doubling of the max
+// degree (a protocol regime change, not steady-state drift).
+// bench/scale_metrics verifies the zero-steady-state-allocation claim with
+// a whole-process operator-new counter; tests/obs_test.cpp checks that
+// storage_bytes() holds still after the warm-up, on one lane and four.
 //
 // Lifetime: rebuild() stores a pointer to the network; the census (and any
 // estimator call) is valid until the network is mutated or destroyed.
@@ -208,14 +216,17 @@ class GraphCensus {
   /// Per-lane working state; lane 0 doubles as the serial path's scratch.
   /// Sized lazily to the attached pool's lane count and reused across
   /// rebuilds and estimator calls (same persistence discipline as the
-  /// shared buffers).
+  /// shared buffers). The address set costs N/8 bytes per lane.
   struct LaneScratch {
     std::vector<std::uint32_t> in_cnt;   ///< pass-1 per-lane in-degree counts
+    std::uint64_t directed = 0, dead = 0, cross = 0;  ///< pass-1 tallies
     std::vector<std::size_t> cursor;     ///< pass-2 per-lane CSR cursors
-    /// Clustering marks, epoch-stamped per address (see local_clustering).
-    std::vector<std::uint32_t> mark;
-    std::uint32_t epoch = 0;
-    std::vector<NodeId> nbhd;            ///< one pick's distinct neighbours
+    /// N-bit address set (one bit per address, ⌈N/64⌉ words): v's in-list
+    /// in pass 3, N(v) in local_clustering. All-zero between uses — each
+    /// user clears the words it touched.
+    std::vector<std::uint64_t> set;
+    std::uint64_t und_sum = 0;           ///< pass-3 union-degree sum
+    std::size_t und_max = 0;             ///< pass-3 max union degree
     std::uint64_t reached = 0;           ///< BFS level tally of this lane
   };
 
@@ -263,6 +274,11 @@ class GraphCensus {
   std::vector<NodeId> live_list_;        ///< live addresses, ascending
   std::vector<std::uint32_t> out_deg_;   ///< live out-degree per address
   std::vector<std::uint32_t> und_deg_;   ///< union degree per address
+  /// Pass-3 mutual bits, mutual_words_ = ⌈c/64⌉ words per address: bit k
+  /// of v's words is set when view entry k of v targets a live w ≠ v that
+  /// lists v too. Whole words per node, so lanes never share one.
+  std::vector<std::uint64_t> mutual_;
+  std::size_t mutual_words_ = 0;
   std::vector<std::size_t> in_off_;      ///< in-CSR offsets (size N+1)
   std::vector<NodeId> in_nbr_;           ///< in-CSR entries, sorted per list
   std::vector<std::size_t> cursor_;      ///< CSR fill cursors, reused

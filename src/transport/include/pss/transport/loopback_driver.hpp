@@ -63,7 +63,9 @@ class LoopbackDriver {
 
   double now() const { return now_; }
 
-  /// EventEngineStats-shaped aggregate for differential comparison.
+  /// EventEngineStats-shaped aggregate for differential comparison. O(1):
+  /// the node-side counters are running totals the event loop keeps as it
+  /// calls on_tick/on_frame (the only calls that move them).
   sim::EventEngineStats engine_stats() const;
 
   const ServiceNode& node(NodeId id) const { return nodes_[id]; }
@@ -92,6 +94,9 @@ class LoopbackDriver {
   double now_ = 0.0;
   std::uint64_t messages_to_dead_ = 0;
   std::uint64_t rejected_frames_ = 0;
+  std::uint64_t wakeups_ = 0;            ///< on_tick calls on live nodes
+  std::uint64_t replies_delivered_ = 0;  ///< summed over every ServiceNode
+  std::uint64_t replies_stale_ = 0;      ///< summed over every ServiceNode
   std::size_t scheduled_nodes_ = 0;
   double tick_anchor_ = 0.0;
   std::uint64_t ticks_ = 0;

@@ -57,7 +57,11 @@ void LoopbackDriver::advance_to(double until) {
       // request — EventEngine::on_wakeup's event order.
       timers_.push(now_ + config_.period, bus_->allocate_seq(), node);
       if (!network_->is_live(node)) continue;
-      nodes_[node].on_tick(now_);
+      ServiceNode& target = nodes_[node];
+      const std::uint64_t stale = target.stats().replies_stale;
+      target.on_tick(now_);
+      ++wakeups_;
+      replies_stale_ += target.stats().replies_stale - stale;
     } else {
       bus_->poll_one([&](NodeId, std::span<const std::byte> bytes) {
         ParsedFrame frame;
@@ -70,7 +74,13 @@ void LoopbackDriver::advance_to(double until) {
           ++messages_to_dead_;
           return;
         }
-        nodes_[frame.to].on_frame(frame, now_);
+        ServiceNode& target = nodes_[frame.to];
+        const ServiceNodeStats& st = target.stats();
+        const std::uint64_t delivered = st.replies_delivered;
+        const std::uint64_t stale = st.replies_stale;
+        target.on_frame(frame, now_);
+        replies_delivered_ += st.replies_delivered - delivered;
+        replies_stale_ += st.replies_stale - stale;
       });
     }
   }
@@ -91,11 +101,9 @@ void LoopbackDriver::run_cycles(std::size_t cycles) {
 
 sim::EventEngineStats LoopbackDriver::engine_stats() const {
   sim::EventEngineStats s;
-  for (const ServiceNode& node : nodes_) {
-    s.wakeups += node.stats().wakeups;
-    s.replies_delivered += node.stats().replies_delivered;
-    s.replies_stale += node.stats().replies_stale;
-  }
+  s.wakeups = wakeups_;
+  s.replies_delivered = replies_delivered_;
+  s.replies_stale = replies_stale_;
   s.messages_sent = bus_->stats().frames_sent;
   s.messages_dropped = bus_->stats().frames_dropped;
   s.messages_to_dead = messages_to_dead_;

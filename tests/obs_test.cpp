@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "pss/experiments/degree_trace.hpp"
@@ -31,8 +32,8 @@ namespace pss {
 namespace {
 
 sim::Network make_converged(ProtocolSpec spec, std::size_t n, Cycle cycles,
-                            std::uint64_t seed = 42) {
-  sim::Network net(spec, ProtocolOptions{8, false}, seed);
+                            std::uint64_t seed = 42, std::size_t c = 8) {
+  sim::Network net(spec, ProtocolOptions{c, false}, seed);
   net.add_nodes(n);
   sim::bootstrap::init_random(net);
   sim::CycleEngine engine(net);
@@ -51,8 +52,9 @@ std::vector<std::size_t> sample_sizes(std::size_t live) {
 /// (pushpull exchanges, and a hand-made pair), self entries' absence, and
 /// several components (a three-node island holding a dead link, plus an
 /// isolated node).
-sim::Network make_rugged(ProtocolSpec spec, std::uint64_t seed) {
-  sim::Network net = make_converged(spec, 400, 10, seed);
+sim::Network make_rugged(ProtocolSpec spec, std::uint64_t seed,
+                         std::size_t view_size = 8) {
+  sim::Network net = make_converged(spec, 400, 10, seed, view_size);
   net.kill_random(80, net.rng());
   NodeId dead = 0;
   while (net.is_live(dead)) ++dead;
@@ -110,6 +112,28 @@ void expect_census_matches_exact(const sim::Network& net) {
   }
 }
 
+/// Census estimators vs the exact module's from cloned Rngs at every
+/// batch-boundary sample size: bit-equal doubles, and both Rngs left at
+/// the same stream position.
+void expect_estimators_match_exact(const sim::Network& net) {
+  obs::GraphCensus census;
+  census.rebuild(net);
+  const auto g = graph::UndirectedGraph::from_network(net);
+  for (const std::size_t k : sample_sizes(census.live_count())) {
+    SCOPED_TRACE(k);
+    Rng census_rng(1000 + k);
+    Rng exact_rng(1000 + k);
+    EXPECT_EQ(census.clustering_sampled(k, census_rng),
+              graph::clustering_coefficient_sampled(g, k, exact_rng));
+    const auto path = census.path_length_sampled(k, census_rng);
+    const auto exact = graph::average_path_length_sampled(g, k, exact_rng);
+    EXPECT_EQ(path.average, exact.average);
+    EXPECT_EQ(path.reachable_fraction, exact.reachable_fraction);
+    EXPECT_EQ(path.diameter, exact.diameter);
+    EXPECT_EQ(census_rng.below(1u << 20), exact_rng.below(1u << 20));
+  }
+}
+
 TEST(GraphCensus, MatchesExactPipelineAcrossProtocols) {
   for (const auto& spec : ProtocolSpec::evaluated()) {
     sim::Network net = make_converged(spec, 500, 20);
@@ -163,19 +187,43 @@ TEST(GraphCensus, EmptyAndTinyNetworks) {
 
 TEST(GraphCensus, RebuildReusesBuffersAcrossSnapshots) {
   // The same census object must stay correct when reused over an evolving
-  // network (stale state from earlier snapshots must never leak).
-  sim::Network net = make_converged(ProtocolSpec::newscast(), 400, 5);
-  obs::GraphCensus census;
-  sim::CycleEngine engine(net);
-  for (int i = 0; i < 4; ++i) {
-    engine.run(3);
-    census.rebuild(net);
-    const auto g = graph::UndirectedGraph::from_network(net);
-    ASSERT_EQ(census.undirected_edge_count(), g.edge_count());
-    ASSERT_EQ(census.degree_stats().mean, graph::degree_summary(g).mean);
+  // network (stale state from earlier snapshots must never leak). And after
+  // the warm-up snapshot (rebuild plus both estimators) no persistent buffer
+  // grows: not the CSR, not the mutual bits (one word per node at c = 8,
+  // two at c = 70), not the lanes' address sets, on one lane or four.
+  for (const std::size_t c : {8u, 70u}) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("c=" + std::to_string(c) + " threads=" +
+                   std::to_string(threads));
+      sim::Network net =
+          make_converged(ProtocolSpec::newscast(), 400, 5, 42, c);
+      sim::ThreadPool pool(threads);
+      obs::GraphCensus census;
+      if (threads > 1) census.set_thread_pool(&pool);
+      sim::CycleEngine engine(net);
+      Rng rng(3);
+      // Sample sizes below a third of the live count keep sample_indices on
+      // its rejection path, which needs no scratch, before and after the
+      // kill below.
+      const auto snapshot = [&] {
+        census.rebuild(net);
+        (void)census.clustering_sampled(50, rng);
+        (void)census.path_length_sampled(30, rng);
+        return census.storage_bytes();
+      };
+      const std::size_t warm_bytes = snapshot();
+      for (int i = 0; i < 4; ++i) {
+        engine.run(3);
+        EXPECT_EQ(snapshot(), warm_bytes);
+        const auto g = graph::UndirectedGraph::from_network(net);
+        ASSERT_EQ(census.undirected_edge_count(), g.edge_count());
+        ASSERT_EQ(census.degree_stats().mean, graph::degree_summary(g).mean);
+      }
+      net.kill_random(100, net.rng());
+      EXPECT_EQ(snapshot(), warm_bytes);
+      expect_census_matches_exact(net);
+    }
   }
-  net.kill_random(100, net.rng());
-  expect_census_matches_exact(net);
 }
 
 TEST(GraphCensus, DeadLinkTallyIsBitEqualToNetworkCount) {
@@ -325,102 +373,135 @@ TEST(GraphCensus, PathLengthOnDisconnectedOverlayCountsReachablePairsOnly) {
 }
 
 TEST(GraphCensus, EstimatorsBitEqualToExactModuleAcrossProtocols) {
-  // The bit-parallel BFS and the mark-count clustering against the
+  // The bit-parallel BFS and the mutual-bit clustering against the
   // graph::metrics oracle, from cloned Rngs, on every evaluated protocol:
-  // the same draws and bit-equal doubles at every batch-boundary size.
-  for (const auto& spec : ProtocolSpec::evaluated()) {
-    SCOPED_TRACE(spec.name());
-    const sim::Network net = make_rugged(spec, 31);
-    obs::GraphCensus census;
-    census.rebuild(net);
-    const auto g = graph::UndirectedGraph::from_network(net);
-    ASSERT_GT(census.live_count(), 129u);
-    ASSERT_GE(census.components().count, 3u);
-    ASSERT_GT(census.dead_link_count(), 0u);
-    ASSERT_LT(census.undirected_edge_count(), census.directed_edge_count());
-    for (const std::size_t k : sample_sizes(census.live_count())) {
-      SCOPED_TRACE(k);
-      Rng census_rng(1000 + k);
-      Rng exact_rng(1000 + k);
-      EXPECT_EQ(census.clustering_sampled(k, census_rng),
-                graph::clustering_coefficient_sampled(g, k, exact_rng));
-      const auto path = census.path_length_sampled(k, census_rng);
-      const auto exact = graph::average_path_length_sampled(g, k, exact_rng);
-      EXPECT_EQ(path.average, exact.average);
-      EXPECT_EQ(path.reachable_fraction, exact.reachable_fraction);
-      EXPECT_EQ(path.diameter, exact.diameter);
-      EXPECT_EQ(census_rng.below(1u << 20), exact_rng.below(1u << 20));
+  // the same draws and bit-equal doubles at every batch-boundary size. At
+  // c = 30 union degrees run past 64, so neighbourhoods span many words of
+  // the address set.
+  for (const std::size_t c : {8u, 30u}) {
+    for (const auto& spec : ProtocolSpec::evaluated()) {
+      SCOPED_TRACE(spec.name() + " c=" + std::to_string(c));
+      const sim::Network net = make_rugged(spec, 31, c);
+      obs::GraphCensus census;
+      census.rebuild(net);
+      ASSERT_GT(census.live_count(), 129u);
+      ASSERT_GE(census.components().count, 3u);
+      ASSERT_GT(census.dead_link_count(), 0u);
+      ASSERT_LT(census.undirected_edge_count(), census.directed_edge_count());
+      expect_census_matches_exact(net);
+      expect_estimators_match_exact(net);
     }
   }
+}
+
+TEST(GraphCensus, MatchesExactAtWideViews) {
+  // The mutual bits take ⌈c/64⌉ words per node: one at c = 30, two at
+  // c = 70, where entries 64 and up land in the second word.
+  for (const std::size_t c : {30u, 70u}) {
+    SCOPED_TRACE(c);
+    sim::Network net = make_converged(ProtocolSpec::newscast(), 500, 15, 42, c);
+    ASSERT_GT(net.view_span(0).size(), c == 70 ? 64u : 0u);
+    expect_census_matches_exact(net);
+    expect_estimators_match_exact(net);
+  }
+}
+
+TEST(GraphCensus, StarOverlayMatchesExact) {
+  // A fresh star: the hub's in-list and neighbourhood span N − 1 ≫ 64
+  // addresses and every hub entry is mutual. Then one cycle of gossip, which
+  // links the hub's neighbours to each other.
+  sim::Network net(ProtocolSpec::newscast(), ProtocolOptions{30, false}, 5);
+  net.add_nodes(300);
+  sim::bootstrap::init_star(net);
+  obs::GraphCensus census;
+  census.rebuild(net);
+  ASSERT_EQ(census.undirected_degree(0), 299u);
+  expect_census_matches_exact(net);
+  expect_estimators_match_exact(net);
+  sim::CycleEngine engine(net);
+  engine.run(1);
+  census.rebuild(net);
+  ASSERT_GT(census.degree_stats().max, 64u);
+  expect_census_matches_exact(net);
+  expect_estimators_match_exact(net);
 }
 
 TEST(GraphCensusParallel, RebuildBitEqualToSequentialAtEveryLaneCount) {
   // The set_thread_pool contract: every streamed observable is
   // bit-identical to the sequential rebuild at any lane count, including
   // on an overlay with dead links and cross-partition links so all three
-  // pass-1 tallies are non-trivial.
-  auto net = make_converged(ProtocolSpec::newscast(), 400, 12, 19);
-  net.kill_random(60, net.rng());
-  for (NodeId id = 0; id < net.size(); ++id) {
-    net.set_partition_group(id, id % 2);
-  }
-  obs::GraphCensus seq;
-  seq.rebuild(net);
-  for (unsigned threads : {2u, 4u, 8u}) {
-    sim::ThreadPool pool(threads);
-    obs::GraphCensus par;
-    par.set_thread_pool(&pool);
-    par.rebuild(net);
-    ASSERT_EQ(seq.live_count(), par.live_count());
-    EXPECT_EQ(seq.directed_edge_count(), par.directed_edge_count());
-    EXPECT_EQ(seq.undirected_edge_count(), par.undirected_edge_count());
-    EXPECT_EQ(seq.dead_link_count(), par.dead_link_count());
-    EXPECT_EQ(seq.cross_partition_link_count(),
-              par.cross_partition_link_count());
-    for (const NodeId id : seq.live_list()) {
-      ASSERT_EQ(seq.out_degree(id), par.out_degree(id));
-      ASSERT_EQ(seq.in_degree(id), par.in_degree(id));
-      ASSERT_EQ(seq.undirected_degree(id), par.undirected_degree(id));
+  // pass-1 tallies are non-trivial; at c = 8 and at c = 30, and on a pool
+  // of one lane as well as several.
+  for (const std::size_t c : {8u, 30u}) {
+    SCOPED_TRACE(c);
+    auto net = make_converged(ProtocolSpec::newscast(), 400, 12, 19, c);
+    net.kill_random(60, net.rng());
+    for (NodeId id = 0; id < net.size(); ++id) {
+      net.set_partition_group(id, id % 2);
     }
-    const auto sh = seq.degree_histogram();
-    const auto ph = par.degree_histogram();
-    ASSERT_EQ(sh.size(), ph.size());
-    EXPECT_TRUE(std::equal(sh.begin(), sh.end(), ph.begin()));
-    EXPECT_EQ(seq.degree_stats().mean, par.degree_stats().mean);
-    EXPECT_EQ(seq.degree_stats().variance, par.degree_stats().variance);
-    EXPECT_EQ(seq.components().count, par.components().count);
-    EXPECT_EQ(seq.components().largest, par.components().largest);
+    obs::GraphCensus seq;
+    seq.rebuild(net);
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(threads);
+      sim::ThreadPool pool(threads);
+      obs::GraphCensus par;
+      par.set_thread_pool(&pool);
+      par.rebuild(net);
+      ASSERT_EQ(seq.live_count(), par.live_count());
+      EXPECT_EQ(seq.directed_edge_count(), par.directed_edge_count());
+      EXPECT_EQ(seq.undirected_edge_count(), par.undirected_edge_count());
+      EXPECT_EQ(seq.dead_link_count(), par.dead_link_count());
+      EXPECT_EQ(seq.cross_partition_link_count(),
+                par.cross_partition_link_count());
+      for (const NodeId id : seq.live_list()) {
+        ASSERT_EQ(seq.out_degree(id), par.out_degree(id));
+        ASSERT_EQ(seq.in_degree(id), par.in_degree(id));
+        ASSERT_EQ(seq.undirected_degree(id), par.undirected_degree(id));
+      }
+      const auto sh = seq.degree_histogram();
+      const auto ph = par.degree_histogram();
+      ASSERT_EQ(sh.size(), ph.size());
+      EXPECT_TRUE(std::equal(sh.begin(), sh.end(), ph.begin()));
+      EXPECT_EQ(seq.degree_stats().mean, par.degree_stats().mean);
+      EXPECT_EQ(seq.degree_stats().variance, par.degree_stats().variance);
+      EXPECT_EQ(seq.components().count, par.components().count);
+      EXPECT_EQ(seq.components().largest, par.components().largest);
+    }
   }
 }
 
 TEST(GraphCensusParallel, EstimatorsBitEqualToSequentialAtEveryLaneCount) {
   // Sampled estimators from cloned Rngs: same draws, same per-pick values,
   // same reductions — doubles compare with EXPECT_EQ, not near. The sample
-  // sizes straddle the BFS's 64-source batches, up to exhaustive.
-  auto net = make_converged(ProtocolSpec::newscast(), 350, 12, 23);
-  net.kill_random(40, net.rng());
-  obs::GraphCensus seq;
-  seq.rebuild(net);
-  for (const std::size_t k : sample_sizes(seq.live_count())) {
-    SCOPED_TRACE(k);
-    Rng seq_rng(77 + k);
-    const double seq_clust = seq.clustering_sampled(k, seq_rng);
-    const auto seq_path = seq.path_length_sampled(k, seq_rng);
-    const std::uint64_t seq_probe = seq_rng.below(1u << 20);
-    for (unsigned threads : {2u, 4u, 8u}) {
-      SCOPED_TRACE(threads);
-      sim::ThreadPool pool(threads);
-      obs::GraphCensus par;
-      par.set_thread_pool(&pool);
-      par.rebuild(net);
-      Rng par_rng(77 + k);
-      EXPECT_EQ(seq_clust, par.clustering_sampled(k, par_rng));
-      const auto par_path = par.path_length_sampled(k, par_rng);
-      EXPECT_EQ(seq_path.average, par_path.average);
-      EXPECT_EQ(seq_path.reachable_fraction, par_path.reachable_fraction);
-      EXPECT_EQ(seq_path.diameter, par_path.diameter);
-      // The Rng clones must sit at the same stream position afterwards.
-      EXPECT_EQ(seq_probe, par_rng.below(1u << 20));
+  // sizes straddle the BFS's 64-source batches, up to exhaustive; views
+  // of c = 8 and c = 30, pools of one lane and several.
+  for (const std::size_t c : {8u, 30u}) {
+    SCOPED_TRACE(c);
+    auto net = make_converged(ProtocolSpec::newscast(), 350, 12, 23, c);
+    net.kill_random(40, net.rng());
+    obs::GraphCensus seq;
+    seq.rebuild(net);
+    for (const std::size_t k : sample_sizes(seq.live_count())) {
+      SCOPED_TRACE(k);
+      Rng seq_rng(77 + k);
+      const double seq_clust = seq.clustering_sampled(k, seq_rng);
+      const auto seq_path = seq.path_length_sampled(k, seq_rng);
+      const std::uint64_t seq_probe = seq_rng.below(1u << 20);
+      for (unsigned threads : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE(threads);
+        sim::ThreadPool pool(threads);
+        obs::GraphCensus par;
+        par.set_thread_pool(&pool);
+        par.rebuild(net);
+        Rng par_rng(77 + k);
+        EXPECT_EQ(seq_clust, par.clustering_sampled(k, par_rng));
+        const auto par_path = par.path_length_sampled(k, par_rng);
+        EXPECT_EQ(seq_path.average, par_path.average);
+        EXPECT_EQ(seq_path.reachable_fraction, par_path.reachable_fraction);
+        EXPECT_EQ(seq_path.diameter, par_path.diameter);
+        // The Rng clones must sit at the same stream position afterwards.
+        EXPECT_EQ(seq_probe, par_rng.below(1u << 20));
+      }
     }
   }
 }

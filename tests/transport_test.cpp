@@ -217,6 +217,41 @@ TEST(TransportInvariants, LossReorderDuplicationKeepViewsSound) {
   EXPECT_GT(s.frames_delivered, 0u);
 }
 
+TEST(TransportInvariants, EngineStatsEqualPerNodeSums) {
+  // engine_stats() reports running totals the driver keeps around its
+  // on_tick/on_frame calls; they must equal the per-node counters summed.
+  // Both calls move replies_stale: on_frame for a duplicated reply, on_tick
+  // for a lost exchange superseded before its timeout (longer than the
+  // period here). Killed nodes stop waking up.
+  ProtocolOptions options;
+  options.view_size = 8;
+  Network net = sim::bootstrap::make_random(ProtocolSpec::newscast(), options,
+                                            100, 0x14BA0012);
+  LoopbackConfig bus_config;
+  bus_config.max_delay = 0.3;
+  bus_config.loss_probability = 0.1;
+  bus_config.duplicate_probability = 0.3;
+  LoopbackTransport bus(bus_config, net.rng());
+  LoopbackDriver driver(net, bus, LoopbackDriverConfig{1.0, 2.5});
+  driver.run_cycles(10);
+  net.kill_random(20, net.rng());
+  driver.run_cycles(10);
+
+  EventEngineStats sum;
+  for (NodeId id = 0; id < net.size(); ++id) {
+    sum.wakeups += driver.node(id).stats().wakeups;
+    sum.replies_delivered += driver.node(id).stats().replies_delivered;
+    sum.replies_stale += driver.node(id).stats().replies_stale;
+  }
+  const EventEngineStats totals = driver.engine_stats();
+  EXPECT_EQ(totals.wakeups, sum.wakeups);
+  EXPECT_EQ(totals.replies_delivered, sum.replies_delivered);
+  EXPECT_EQ(totals.replies_stale, sum.replies_stale);
+  EXPECT_GT(totals.replies_delivered, 0u);
+  EXPECT_GT(totals.replies_stale, 0u);
+  EXPECT_LT(totals.wakeups, 100u * 20u);
+}
+
 TEST(TransportInvariants, MalformedInjectionIsCountedAndHarmless) {
   ProtocolOptions options;
   options.view_size = 6;
