@@ -79,18 +79,20 @@ BENCHMARK(BM_PushPullExchange);
 // --- Flat exchange kernels on a warmed overlay -----------------------------
 // Inputs come from a converged 1000-node Newscast overlay: for each of 1024
 // random active nodes, a passive peer drawn from its view with
-// flat::peer_rand (as every engine draws it), the active node's buffer (its
-// view plus itself) and the passive node's view. So the buffer holds the
-// passive node, and the two views overlap as an engine's exchanges do: the
-// merge meets its duplicates. Each iteration takes the next pair, so the
-// branch predictor cannot learn one merge: on a single repeated input the
-// kernels read several times faster than they run inside an engine
-// (docs/PERFORMANCE.md).
+// flat::peer_rand (as every engine draws it), the active node's view and
+// buffer (its view plus itself) and the passive node's view. So the buffer
+// holds the passive node, and the two views overlap as an engine's
+// exchanges do: the merge meets its duplicates. Each iteration takes the
+// next pair, so the branch predictor cannot learn one merge: on a single
+// repeated input the kernels read several times faster than they run
+// inside an engine (docs/PERFORMANCE.md).
 
 struct ExchangeInputs {
   static constexpr std::size_t kPairs = 1024;
   std::vector<std::vector<NodeDescriptor>> buffers;  ///< active side
   std::vector<std::vector<NodeDescriptor>> views;    ///< passive side
+  std::vector<std::vector<NodeDescriptor>> active_views;
+  std::vector<NodeId> actives;
   std::vector<NodeId> passives;
 };
 
@@ -115,6 +117,9 @@ ExchangeInputs draw_inputs(const sim::Network& net) {
     in.buffers.push_back(std::move(buffer));
     in.views.emplace_back(net.view_span(passive).begin(),
                           net.view_span(passive).end());
+    in.active_views.emplace_back(net.view_span(active).begin(),
+                                 net.view_span(active).end());
+    in.actives.push_back(active);
     in.passives.push_back(passive);
   }
   return in;
@@ -182,6 +187,29 @@ void BM_FlatHandleReply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlatHandleReply);
+
+void BM_FlatRunExchange(benchmark::State& state) {
+  // The cycle engine's fused exchange: both buffers, both merges and both
+  // selections of one pushpull exchange. Each iteration restores both
+  // slots to their drawn views first.
+  auto net = warmed_overlay();
+  const ExchangeInputs in = draw_inputs(net);
+  auto& arena = net.arena();
+  flat::Scratch scratch;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const NodeId active = in.actives[i];
+    const NodeId passive = in.passives[i];
+    arena.views.assign(active, in.active_views[i]);
+    arena.views.assign(passive, in.views[i]);
+    flat::run_exchange(arena, active, passive, net.spec(), net.options(),
+                       scratch);
+    benchmark::DoNotOptimize(arena.views.view_of(active).data());
+    benchmark::ClobberMemory();
+    i = (i + 1) % ExchangeInputs::kPairs;
+  }
+}
+BENCHMARK(BM_FlatRunExchange);
 
 void BM_FlatAgeAndCopy(benchmark::State& state) {
   // The fused wakeup kernel: age a slot in place while streaming the aged

@@ -30,6 +30,7 @@
 //   PSS_PATH_SOURCES      BFS sources              (default 8)
 //   PSS_METRICS_EXACT_MAX largest n cross-checked  (default 10000)
 //   PSS_METRICS_JSON      output path              (default BENCH_metrics.json)
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -199,12 +200,15 @@ bool cross_check_exact(const pss::sim::Network& net, pss::obs::GraphCensus& cens
   return ok;
 }
 
+/// Timed snapshot passes per ladder size; snapshot_seconds is their median.
+constexpr int kSnapshotReps = 5;
+
 struct RunResult {
   std::size_t n = 0;
   double setup_seconds = 0;
   double run_seconds = 0;
   std::size_t snapshots = 0;
-  double snapshot_seconds = 0;  ///< standalone census + estimator pass
+  double snapshot_seconds = 0;  ///< census + estimator pass (median)
   std::uint64_t steady_allocations = 0;
   double census_bytes_per_node = 0;
   bool exact_checked = false;
@@ -277,19 +281,28 @@ int main() {
         static_cast<double>(n);
 
     // Standalone cost of one full snapshot (census + both estimators),
-    // separated from engine time.
+    // separated from engine time: the median of kSnapshotReps identical
+    // passes, each from a fresh timing Rng, so one slow pass does not set
+    // the ladder.
     {
-      Rng timing_rng(seed ^ 0xC0FFEE);
-      const auto t_snap = Clock::now();
-      observer.census().rebuild(net);
-      if (clustering_sample > 0) {
-        (void)observer.census().clustering_sampled(clustering_sample,
-                                                   timing_rng);
+      std::vector<double> reps;
+      for (int rep = 0; rep < kSnapshotReps; ++rep) {
+        Rng timing_rng(seed ^ 0xC0FFEE);
+        const auto t_snap = Clock::now();
+        observer.census().rebuild(net);
+        if (clustering_sample > 0) {
+          (void)observer.census().clustering_sampled(clustering_sample,
+                                                     timing_rng);
+        }
+        if (path_sources > 0) {
+          (void)observer.census().path_length_sampled(path_sources,
+                                                      timing_rng);
+        }
+        reps.push_back(seconds_since(t_snap));
       }
-      if (path_sources > 0) {
-        (void)observer.census().path_length_sampled(path_sources, timing_rng);
-      }
-      r.snapshot_seconds = seconds_since(t_snap);
+      std::nth_element(reps.begin(), reps.begin() + kSnapshotReps / 2,
+                       reps.end());
+      r.snapshot_seconds = reps[kSnapshotReps / 2];
     }
 
     if (n <= exact_max) {
@@ -390,6 +403,7 @@ int main() {
                    static_cast<std::uint64_t>(clustering_sample));
   rec.json().field("path_sources", static_cast<std::uint64_t>(path_sources));
   rec.json().field("exact_max", static_cast<std::uint64_t>(exact_max));
+  rec.json().field("snapshot_reps", static_cast<std::uint64_t>(kSnapshotReps));
   rec.json().end_object();
   rec.json().key("runs");
   rec.json().begin_array();

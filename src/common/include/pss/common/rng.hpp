@@ -8,6 +8,7 @@
 // also be plugged into <random> distributions and std::shuffle.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -86,11 +87,12 @@ class Rng {
   std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
 
   /// Allocation-free variant of sample_indices for hot loops: writes the k
-  /// indices into `out` and uses `scratch` for the Fisher–Yates index table,
-  /// reusing both vectors' capacity across calls. Draws the exact same
-  /// random sequence as sample_indices (which delegates here), so the two
-  /// are interchangeable without perturbing seeded experiments. Inline for
-  /// the per-exchange view-selection path.
+  /// indices into `out` and uses `scratch` for the Fisher–Yates index table
+  /// or the rejection branch's membership table, reusing both vectors'
+  /// capacity across calls. Draws the exact same random sequence as
+  /// sample_indices (which delegates here), so the two are interchangeable
+  /// without perturbing seeded experiments. Inline for the per-node
+  /// bootstrap and census sampling loops.
   void sample_indices_into(std::size_t n, std::size_t k,
                            std::vector<std::size_t>& out,
                            std::vector<std::size_t>& scratch) {
@@ -109,23 +111,35 @@ class Rng {
       out.assign(scratch.begin(),
                  scratch.begin() + static_cast<std::ptrdiff_t>(k));
     } else {
-      // Rejection sampling; k << n, so the linear duplicate scan over at
-      // most k accepted values is cheap and needs no hash-set allocation.
-      // Accepts and rejects exactly the candidates the historical
-      // std::unordered_set-based implementation did, keeping the draw
-      // sequence seed-stable.
+      // Rejection sampling. `out` keeps the accepted values in draw order;
+      // membership is an open-addressing table in `scratch` holding
+      // value + 1 per slot (0 is free), at least 4k slots so it stays at
+      // most a quarter full. A candidate is rejected exactly when it was
+      // accepted before, as in the historical std::unordered_set-based
+      // implementation, so the draw sequence is seed-stable.
+      const std::size_t slots = std::bit_ceil(4 * k);
+      scratch.assign(slots, 0);
       while (out.size() < k) {
-        std::size_t candidate = static_cast<std::size_t>(below(n));
-        bool duplicate = false;
-        for (std::size_t v : out) {
-          if (v == candidate) {
-            duplicate = true;
-            break;
-          }
+        const auto candidate = static_cast<std::size_t>(below(n));
+        std::size_t i = sample_home(candidate, slots);
+        while (scratch[i] != 0 && scratch[i] != candidate + 1) {
+          i = (i + 1) & (slots - 1);
         }
-        if (!duplicate) out.push_back(candidate);
+        if (scratch[i] == 0) {
+          scratch[i] = candidate + 1;
+          out.push_back(candidate);
+        }
       }
     }
+  }
+
+  /// The slot sample_indices_into's rejection table of `slots` slots (a
+  /// power of two, at least 2) probes first for `value`: the top bits of a
+  /// 64-bit multiplicative hash. Public so tests can engineer collisions.
+  static std::size_t sample_home(std::size_t value, std::size_t slots) {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(value) * 0x9E3779B97F4A7C15ULL) >>
+        (64 - std::countr_zero(slots)));
   }
 
   /// Derives an independent child generator; child sequences are decorrelated

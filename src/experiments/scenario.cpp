@@ -74,17 +74,20 @@ ScenarioResult run_lattice_scenario(ProtocolSpec spec, const ScenarioParams& par
 
 ScenarioResult run_growing_scenario(ProtocolSpec spec, const ScenarioParams& params) {
   sim::Network network(spec, params.protocol_options(), params.seed);
+  // Every per-node array is allocated once at its final size instead of
+  // regrowing by doubling on the way from 1 node to n.
+  network.reserve_nodes(params.n);
   const NodeId origin = network.add_node();
   const std::size_t target = params.n;
   auto grow = [origin, target, growth = params.growth_per_cycle](
                   sim::Network& net, Cycle) {
     std::size_t room = target > net.size() ? target - net.size() : 0;
     const std::size_t batch = std::min(growth, room);
+    // A newcomer knows only the oldest (initial) node — the paper's most
+    // pessimistic bootstrap.
+    const NodeDescriptor contact{origin, 0};
     for (std::size_t i = 0; i < batch; ++i) {
-      const NodeId id = net.add_node();
-      // A newcomer knows only the oldest (initial) node — the paper's most
-      // pessimistic bootstrap.
-      net.node(id).init_view(View{{origin, 0}});
+      net.arena().views.assign(net.add_node(), {&contact, 1});
     }
   };
   return run_scenario(std::move(network), params, grow);

@@ -23,7 +23,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <numeric>
 #include <span>
 #include <vector>
 
@@ -95,17 +94,19 @@ class AddressSet {
 /// Reusable working memory for one exchange pipeline. Owned by whoever
 /// drives exchanges (the cycle engine owns one; adapter methods make a
 /// short-lived local one). Never aliased across the pipeline: `merged`
-/// backs absorb, `buffer`/`reply` carry the in-flight messages, `forged`
-/// stages sim::ExchangeCore's byzantine rewrites, the rest back the merge
-/// stream and view selection.
+/// backs absorb, `buffer`/`reply` carry the in-flight messages (c + 1
+/// entries each, written by write_active_buffer), `forged` stages
+/// sim::ExchangeCore's byzantine rewrites, the rest back the merge stream.
+/// View selection samples on the stack; only a boundary class past
+/// AddressSet::kMaxEntries (adapter API, c >= 64) uses `picks`/`pick_table`.
 struct Scratch {
-  std::vector<NodeDescriptor> merged;    ///< absorb's union buffer
-  std::vector<NodeDescriptor> buffer;    ///< active thread's outgoing buffer
-  std::vector<NodeDescriptor> reply;     ///< passive thread's pull reply
-  std::vector<NodeDescriptor> forged;    ///< byzantine forge staging
-  std::vector<std::uint64_t> pick_bits;  ///< selection: picked indices
-  std::vector<std::size_t> fy;           ///< selection: Fisher–Yates table
-  AddressSet seen;                       ///< merge dedup table
+  std::vector<NodeDescriptor> merged;  ///< absorb's union buffer
+  std::vector<NodeDescriptor> buffer;  ///< active thread's outgoing buffer
+  std::vector<NodeDescriptor> reply;   ///< passive thread's pull reply
+  std::vector<NodeDescriptor> forged;  ///< byzantine forge staging
+  std::vector<std::size_t> picks;      ///< oversized selection: indices
+  std::vector<std::size_t> pick_table; ///< oversized selection: sampler table
+  AddressSet seen;                     ///< merge dedup table
   /// Raw landing zone for the merge loop: plain stores with no vector
   /// size/capacity bookkeeping, bulk-assigned to `merged` afterwards.
   std::array<NodeDescriptor, AddressSet::kMaxEntries> merge_arr;
@@ -183,30 +184,41 @@ class MergeStream {
   std::size_t j_ = 0;
 };
 
-/// Keeps `k` of the `n` entries at `src`, writing them in ascending index
-/// order to `dst` (dst <= src may overlap: every read is at or ahead of its
-/// write). The kept indices are exactly the ones
-/// rng.sample_indices_into(n, k, ...) draws, through the same branch and
-/// the same below() calls, but they are marked in a bitset sized to the
-/// class instead of listed, so the ascending gather needs no sort.
+/// The Fisher–Yates table before its first swap: entry i holds i.
+inline constexpr std::array<std::uint8_t, AddressSet::kMaxEntries>
+    kIdentityPicks = [] {
+      std::array<std::uint8_t, AddressSet::kMaxEntries> t{};
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        t[i] = static_cast<std::uint8_t>(i);
+      }
+      return t;
+    }();
+
+/// Keeps `k` of the `n` <= AddressSet::kMaxEntries entries at `src`,
+/// writing them in ascending index order to `dst` (dst <= src may overlap:
+/// every read is at or ahead of its write). The kept indices are exactly
+/// the ones rng.sample_indices_into(n, k, ...) draws, through the same
+/// branch and the same below() calls, but they are marked in a two-word
+/// mask instead of listed, so the ascending gather needs no sort. Every
+/// table lives on the stack: a call touches no vector.
 inline void keep_sampled(const NodeDescriptor* src, std::size_t n,
-                         std::size_t k, NodeDescriptor* dst, Rng& rng,
-                         Scratch& s) {
-  PSS_DCHECK(k <= n);
-  std::vector<std::uint64_t>& bits = s.pick_bits;
-  bits.assign((n + 63) / 64, 0);
+                         std::size_t k, NodeDescriptor* dst, Rng& rng) {
+  static_assert(AddressSet::kMaxEntries == 128);
+  PSS_DCHECK(k <= n && n <= AddressSet::kMaxEntries);
+  std::uint64_t bits[2] = {0, 0};
   if (k * 3 >= n) {
-    // Partial Fisher–Yates: slot i is final once step i has swapped into it.
-    s.fy.resize(n);
-    std::iota(s.fy.begin(), s.fy.end(), std::size_t{0});
+    // Partial Fisher–Yates. Step i swaps slot j into slot i, which no later
+    // step reads, so only slot j's half of the swap is stored.
+    std::array<std::uint8_t, AddressSet::kMaxEntries> fy = kIdentityPicks;
     for (std::size_t i = 0; i < k; ++i) {
       const auto j = i + static_cast<std::size_t>(rng.below(n - i));
-      std::swap(s.fy[i], s.fy[j]);
-      bits[s.fy[i] >> 6] |= std::uint64_t{1} << (s.fy[i] & 63);
+      const std::uint8_t pick = fy[j];
+      fy[j] = fy[i];
+      bits[pick >> 6] |= std::uint64_t{1} << (pick & 63);
     }
   } else {
     // Rejection sampling: a candidate is a duplicate exactly when its bit
-    // is already set, the verdict sample_indices_into's linear scan reaches.
+    // is already set, the verdict sample_indices_into's table reaches.
     for (std::size_t got = 0; got < k;) {
       const auto x = static_cast<std::size_t>(rng.below(n));
       std::uint64_t& word = bits[x >> 6];
@@ -215,11 +227,28 @@ inline void keep_sampled(const NodeDescriptor* src, std::size_t n,
       word |= bit;
     }
   }
-  for (std::size_t w = 0; w < bits.size(); ++w) {
-    for (std::uint64_t m = bits[w]; m != 0; m &= m - 1) {
-      *dst++ = src[w * 64 + static_cast<std::size_t>(std::countr_zero(m))];
-    }
+  for (std::uint64_t m = bits[0]; m != 0; m &= m - 1) {
+    *dst++ = src[std::countr_zero(m)];
   }
+  for (std::uint64_t m = bits[1]; m != 0; m &= m - 1) {
+    *dst++ = src[64 + std::countr_zero(m)];
+  }
+}
+
+/// keep_sampled for a class of any size. A class past
+/// AddressSet::kMaxEntries arises only from the adapter API's oversized
+/// merges (c >= 64); it draws through Rng::sample_indices_into itself, then
+/// sorts the picks and gathers them, as merge_into falls back to a sort.
+inline void keep_sampled(const NodeDescriptor* src, std::size_t n,
+                         std::size_t k, NodeDescriptor* dst, Rng& rng,
+                         Scratch& s) {
+  if (n <= AddressSet::kMaxEntries) {
+    keep_sampled(src, n, k, dst, rng);
+    return;
+  }
+  rng.sample_indices_into(n, k, s.picks, s.pick_table);
+  std::sort(s.picks.begin(), s.picks.end());
+  for (const std::size_t p : s.picks) *dst++ = src[p];
 }
 
 }  // namespace detail
@@ -280,19 +309,6 @@ inline void merge_into(DescSpan a, DescSpan b, std::vector<NodeDescriptor>& out,
     cursor += scratch.seen.insert(d.address);
   }
   out.assign(base, cursor);
-}
-
-/// View::merge(view, {{self, 0}}) specialisation for buffer building:
-/// inserts {self, 0} at its sorted position. Precondition: `self` is not in
-/// `buf` (a node never stores its own descriptor).
-inline void insert_self(std::vector<NodeDescriptor>& buf, NodeId self) {
-  const NodeDescriptor d{self, 0};
-  PSS_DCHECK(std::none_of(buf.begin(), buf.end(),
-                          [self](const NodeDescriptor& e) {
-                            return e.address == self;
-                          }));
-  auto pos = std::upper_bound(buf.begin(), buf.end(), d, ByHopThenAddress{});
-  buf.insert(pos, d);
 }
 
 /// View::erase: removes the entry for `address`; returns true when removed.
@@ -454,7 +470,7 @@ inline std::size_t merge_select_head_arr(DescSpan a, DescSpan b, NodeId self,
   // is kept outright, the boundary class [lo, total) is sampled to fill.
   std::size_t lo = c - 1;
   while (lo > 0 && base[lo - 1].hop_count == boundary_hop) --lo;
-  detail::keep_sampled(base + lo, total - lo, c - lo, base + lo, rng, scratch);
+  detail::keep_sampled(base + lo, total - lo, c - lo, base + lo, rng);
   return c;
 }
 

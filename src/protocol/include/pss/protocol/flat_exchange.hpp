@@ -27,6 +27,7 @@
 // nothing else (see docs/ARCHITECTURE.md).
 #pragma once
 
+#include <algorithm>
 #include <optional>
 
 #include "pss/membership/flat_ops.hpp"
@@ -55,14 +56,35 @@ inline std::optional<NodeId> select_peer(DescSpan view, PeerSelection policy,
   return std::nullopt;
 }
 
-/// Buffer the active thread sends: merge(view, {self, 0}) when pushing, the
-/// empty buffer otherwise. `out` is overwritten.
+/// Buffer the active thread sends: merge(view, {self, 0}) — the view with
+/// {self, 0} at its sorted position — when pushing, nothing otherwise.
+/// Writes it into `out`, which must hold view.size() + 1 entries, and
+/// returns the entry count. The one buffer builder: the cycle exchange, the
+/// split kernels below and the View adapter all write through it.
+/// Precondition: `self` is not in `view` (a node never stores its own
+/// descriptor).
+inline std::uint32_t write_active_buffer(DescSpan view, NodeId self, bool push,
+                                         NodeDescriptor* out) {
+  if (!push) return 0;  // empty buffer triggers the pull reply
+  PSS_DCHECK(std::ranges::find(view, self, &NodeDescriptor::address) ==
+             view.end());
+  const NodeDescriptor me{self, 0};
+  // The insertion point is the count of keys below (0 << 32 | self); the
+  // two bulk copies around it vectorize as plain memmoves.
+  const std::uint64_t key = detail::sort_key(me);
+  std::size_t split = 0;
+  while (split < view.size() && detail::sort_key(view[split]) < key) ++split;
+  std::copy_n(view.data(), split, out);
+  out[split] = me;
+  std::copy_n(view.data() + split, view.size() - split, out + split + 1);
+  return static_cast<std::uint32_t>(view.size() + 1);
+}
+
+/// write_active_buffer into a vector, which ends up holding the buffer.
 inline void make_active_buffer(DescSpan view, NodeId self, bool push,
                                std::vector<NodeDescriptor>& out) {
-  out.clear();
-  if (!push) return;  // empty buffer triggers the pull reply
-  out.assign(view.begin(), view.end());
-  insert_self(out, self);
+  out.resize(view.size() + 1);
+  out.resize(write_active_buffer(view, self, push, out.data()));
 }
 
 /// age + merge + drop-self + selectView on one slot: the shared tail of
@@ -120,30 +142,12 @@ inline void contact_failure(NodeArena& arena, NodeId node, NodeId peer,
 // run_exchange() below is the two Figure-1 halves fused into one atomic
 // step. Under asynchrony the halves run at different simulated times with a
 // message buffer in flight between them, so they are also exposed
-// separately, operating on raw fixed-stride buffers (message-pool slabs)
-// instead of Scratch vectors; the active tail is absorb() with
-// age_incoming = 1. Semantics, stats updates and Rng consumption mirror
-// GossipNode::handle_message / handle_reply exactly — pinned by the
-// engine trace-equivalence suite in tests/event_engine_flat_test.cpp.
-
-/// Slab variant of make_active_buffer: writes the active thread's buffer
-/// (view + {self, 0} at its sorted position when pushing, nothing
-/// otherwise) into `out`, which must hold view.size() + 1 entries. Returns
-/// the entry count. Precondition, as insert_self: `self` is not in `view`.
-inline std::uint32_t write_active_buffer(DescSpan view, NodeId self, bool push,
-                                         NodeDescriptor* out) {
-  if (!push) return 0;  // empty buffer triggers the pull reply
-  const NodeDescriptor me{self, 0};
-  // The insertion point is the count of keys below (0 << 32 | self); the
-  // two bulk copies around it vectorize as plain memmoves.
-  const std::uint64_t key = detail::sort_key(me);
-  std::size_t split = 0;
-  while (split < view.size() && detail::sort_key(view[split]) < key) ++split;
-  std::copy_n(view.data(), split, out);
-  out[split] = me;
-  std::copy_n(view.data() + split, view.size() - split, out + split + 1);
-  return static_cast<std::uint32_t>(view.size() + 1);
-}
+// separately, operating on raw fixed-stride buffers (message-pool slabs),
+// as run_exchange does on Scratch's buffer and reply; the active tail is
+// absorb() with age_incoming = 1. Semantics, stats updates and Rng
+// consumption mirror GossipNode::handle_message / handle_reply exactly —
+// pinned by the engine trace-equivalence suite in
+// tests/event_engine_flat_test.cpp.
 
 /// Wakeup-path fusion of FlatViewStore::age + write_active_buffer: ages the
 /// slot in place while streaming the aged entries into `out`, with
@@ -206,24 +210,32 @@ inline void run_exchange(NodeArena& arena, NodeId active, NodeId passive,
                          const ProtocolSpec& spec,
                          const ProtocolOptions& options, Scratch& scratch) {
   FlatViewStore& store = arena.views;
-  make_active_buffer(store.view_of(active), active, spec.push(),
-                     scratch.buffer);
+  // Both messages fit c + 1 entries; after the first call these resizes
+  // change nothing.
+  const std::size_t capacity = store.view_capacity() + 1;
+  scratch.buffer.resize(capacity);
+  scratch.reply.resize(capacity);
+  const std::uint32_t sent = write_active_buffer(
+      store.view_of(active), active, spec.push(), scratch.buffer.data());
   // Passive thread (handle_message): build the pull reply from the
   // pre-merge view, then merge (aging the incoming buffer in-merge) and
   // select.
   ++arena.stats[passive].received;
   const bool pull = spec.pull();
+  std::uint32_t replied = 0;
   if (pull) {
-    make_active_buffer(store.view_of(passive), passive, /*push=*/true,
-                       scratch.reply);
+    replied = write_active_buffer(store.view_of(passive), passive,
+                                  /*push=*/true, scratch.reply.data());
     ++arena.stats[passive].replies_sent;
   }
-  absorb(store, passive, passive, spec, options, scratch.buffer,
-         arena.rngs[passive], scratch, /*age_incoming=*/1);
+  absorb(store, passive, passive, spec, options,
+         DescSpan{scratch.buffer.data(), sent}, arena.rngs[passive], scratch,
+         /*age_incoming=*/1);
   // Active thread tail (handle_reply): merge the aged reply and select.
   if (pull) {
-    absorb(store, active, active, spec, options, scratch.reply,
-           arena.rngs[active], scratch, /*age_incoming=*/1);
+    absorb(store, active, active, spec, options,
+           DescSpan{scratch.reply.data(), replied}, arena.rngs[active],
+           scratch, /*age_incoming=*/1);
   }
 }
 

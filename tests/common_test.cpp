@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <set>
 #include <sstream>
@@ -162,6 +163,88 @@ TEST(Rng, SampleIndicesDistinctAndBounded) {
       for (std::size_t p : picks) EXPECT_LT(p, n);
     }
   }
+}
+
+/// Rng::sample_indices_into as it was before its rejection branch kept a
+/// table: the same Fisher–Yates branch, and a scan of every accepted value
+/// for each rejection candidate. Returns the rejected candidates and, of
+/// those, how many share their table home slot with another accepted
+/// value, so a test can tell that it reached duplicates behind collisions.
+struct LinearScanTally {
+  std::size_t rejected = 0;
+  std::size_t rejected_behind_collision = 0;
+};
+
+LinearScanTally linear_scan_sample(Rng& rng, std::size_t n, std::size_t k,
+                                   std::vector<std::size_t>& out,
+                                   std::vector<std::size_t>& scratch) {
+  LinearScanTally tally;
+  out.clear();
+  if (k == 0) return tally;
+  if (k * 3 >= n) {
+    scratch.resize(n);
+    for (std::size_t i = 0; i < n; ++i) scratch[i] = i;
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t j = i + static_cast<std::size_t>(rng.below(n - i));
+      std::swap(scratch[i], scratch[j]);
+    }
+    out.assign(scratch.begin(),
+               scratch.begin() + static_cast<std::ptrdiff_t>(k));
+    return tally;
+  }
+  const std::size_t slots = std::bit_ceil(4 * k);
+  while (out.size() < k) {
+    const auto candidate = static_cast<std::size_t>(rng.below(n));
+    if (std::find(out.begin(), out.end(), candidate) == out.end()) {
+      out.push_back(candidate);
+      continue;
+    }
+    ++tally.rejected;
+    const std::size_t home = Rng::sample_home(candidate, slots);
+    tally.rejected_behind_collision +=
+        std::any_of(out.begin(), out.end(), [&](std::size_t v) {
+          return v != candidate && Rng::sample_home(v, slots) == home;
+        });
+  }
+  return tally;
+}
+
+TEST(Rng, SampleIndicesIntoMatchesLinearScanDrawForDraw) {
+  // n from 1 to 2^40; k from 0 up to just under n / 3, the largest k the
+  // rejection branch takes (capped at kMaxK for the quadratic oracle), and
+  // below the cap k = n / 3 rounded up, where Fisher–Yates starts.
+  // Successive calls share each generator, and after every call the output
+  // order and the generator position must agree.
+  constexpr std::size_t kMaxK = 3000;
+  const std::size_t ns[] = {1,    2,     3,       4,         7,
+                            10,   31,    64,      100,       1000,
+                            4099, 12345, 1 << 20, 1ULL << 32, 1ULL << 40};
+  Rng expected_rng(0x5A3), actual_rng(0x5A3);
+  std::vector<std::size_t> expected, actual, oracle_scratch, scratch;
+  LinearScanTally total;
+  for (const std::size_t n : ns) {
+    const std::size_t rejection_max = (n - 1) / 3;
+    std::vector<std::size_t> ks = {0, 1, 2, 5, 30, 1000,
+                                   std::min(rejection_max, kMaxK)};
+    if (rejection_max < kMaxK) ks.push_back(rejection_max + 1);
+    for (const std::size_t k : ks) {
+      if (k > n) continue;
+      for (int call = 0; call < 3; ++call) {
+        const LinearScanTally t =
+            linear_scan_sample(expected_rng, n, k, expected, oracle_scratch);
+        total.rejected += t.rejected;
+        total.rejected_behind_collision += t.rejected_behind_collision;
+        actual_rng.sample_indices_into(n, k, actual, scratch);
+        ASSERT_EQ(expected, actual) << "n=" << n << " k=" << k;
+        Rng e = expected_rng, a = actual_rng;
+        for (int i = 0; i < 4; ++i) {
+          ASSERT_EQ(e(), a()) << "n=" << n << " k=" << k << ": Rng diverged";
+        }
+      }
+    }
+  }
+  EXPECT_GT(total.rejected, 0u);
+  EXPECT_GT(total.rejected_behind_collision, 0u);
 }
 
 TEST(Rng, SampleIndicesRejectsOversample) {

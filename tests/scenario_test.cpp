@@ -157,6 +157,19 @@ TEST(GrowingScenario, PopulationGrowsBySchedule) {
   EXPECT_EQ(result.series[15].live_nodes, 200u);
 }
 
+TEST(GrowingScenario, AllocatesPerNodeArraysOnceAtFullSize) {
+  // The scenario reserves its final population up front, so growing from
+  // one node to n leaves every per-node array at exactly n slots rather
+  // than at the last doubling past n (256 for n = 200).
+  ScenarioParams p = small_params();
+  p.cycles = 12;
+  const auto result = run_growing_scenario(ProtocolSpec::newscast(), p);
+  ASSERT_EQ(result.network.size(), p.n);
+  sim::Network reserved(ProtocolSpec::newscast(), p.protocol_options(), p.seed);
+  reserved.reserve_nodes(p.n);
+  EXPECT_EQ(result.network.resident_bytes(), reserved.resident_bytes());
+}
+
 TEST(GrowingScenario, PushPullAbsorbsJoiners) {
   ScenarioParams p = small_params();
   p.cycles = 40;

@@ -4,10 +4,11 @@
 // dedup, Rng::sample_indices_into for the picks and an insertion sort to
 // order them. The kernels under test stream a branch-free merge over
 // sentinel-padded keys, dedup through flat::AddressSet and mark their picks
-// in a bitset instead. Every digest and golden in the suite depends on the
-// two agreeing byte for byte, so each trial compares the output arrays and
-// the generator state after the call. Direct tests of flat::AddressSet's
-// collision chains close the file.
+// in a two-word stack mask instead (classes past 128 entries sample through
+// Rng::sample_indices_into and sort). Every digest and golden in the suite
+// depends on the two agreeing byte for byte, so each trial compares the
+// output arrays and the generator state after the call. Direct tests of
+// flat::AddressSet's collision chains close the file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,14 +26,30 @@ namespace {
 
 namespace oracle {
 
-/// Sampler calls per Rng::sample_indices_into branch, so each test can
-/// check that its inputs reached both (k * 3 >= n is Fisher–Yates).
+/// Sampler calls per class size and Rng::sample_indices_into branch, so
+/// each test can check which its inputs reached. The size classes are the
+/// kernel's: n <= 64 fills one mask word, 65-128 two, and past 128 the
+/// oversized fallback runs. Branch 0 is Fisher–Yates (k * 3 >= n), 1 is
+/// rejection.
 struct BranchTally {
-  std::size_t fisher_yates = 0;
-  std::size_t rejection = 0;
+  std::size_t calls[3][2] = {};
 };
 
 BranchTally g_tally;
+
+std::size_t size_class(std::size_t n) { return n <= 64 ? 0 : n <= 128 ? 1 : 2; }
+
+/// Expects every branch of the first `classes` size classes reached.
+void expect_reached(std::size_t classes) {
+  static constexpr const char* kClass[] = {"n <= 64", "n in 65-128",
+                                           "n > 128"};
+  static constexpr const char* kBranch[] = {"Fisher-Yates", "rejection"};
+  for (std::size_t c = 0; c < classes; ++c) {
+    for (std::size_t b = 0; b < 2; ++b) {
+      EXPECT_GT(g_tally.calls[c][b], 0u) << kClass[c] << ", " << kBranch[b];
+    }
+  }
+}
 
 struct Scratch {
   std::vector<std::size_t> picks;
@@ -43,7 +60,7 @@ struct Scratch {
 };
 
 void sample(std::size_t n, std::size_t k, Rng& rng, Scratch& s) {
-  if (k != 0) ++(k * 3 >= n ? g_tally.fisher_yates : g_tally.rejection);
+  if (k != 0) ++g_tally.calls[size_class(n)][k * 3 >= n ? 0 : 1];
   rng.sample_indices_into(n, k, s.picks, s.fy);
 }
 
@@ -293,8 +310,8 @@ TEST(SelectKernelFuzz, MergeSelectHeadMatchesScalarOracle) {
       expect_same_stream(expected_rng, actual_rng, "merge_select_head_arr");
     }
   }
-  EXPECT_GT(oracle::g_tally.fisher_yates, 0u);
-  EXPECT_GT(oracle::g_tally.rejection, 0u);
+  // The fused kernel's class never exceeds its kMaxEntries inputs.
+  oracle::expect_reached(2);
 }
 
 TEST(SelectKernelFuzz, MergeIntoMatchesScalarOracle) {
@@ -314,8 +331,8 @@ TEST(SelectKernelFuzz, MergeIntoMatchesScalarOracle) {
 
 TEST(SelectKernelFuzz, SelectionsMatchScalarOracle) {
   // Merged buffers with self removed, as absorb hands them to the (rand|
-  // tail) selections, up to 3 * kMaxEntries entries so the pick bitset
-  // spans several words on the adapter path; c adds 200 for the same.
+  // tail) selections, up to 3 * kMaxEntries entries so classes past
+  // kMaxEntries take the oversized fallback; c adds 200 for the same.
   Rng rng(0xF0223);
   flat::Scratch scratch;
   oracle::Scratch ref;
@@ -355,8 +372,7 @@ TEST(SelectKernelFuzz, SelectionsMatchScalarOracle) {
       }
     }
   }
-  EXPECT_GT(oracle::g_tally.fisher_yates, 0u);
-  EXPECT_GT(oracle::g_tally.rejection, 0u);
+  oracle::expect_reached(3);
 }
 
 TEST(SelectKernelFuzz, OversizedAdapterPathMatchesScalarOracle) {
@@ -389,6 +405,51 @@ TEST(SelectKernelFuzz, OversizedAdapterPathMatchesScalarOracle) {
       expect_same_stream(expected_rng, actual_rng, "merge_select_head");
     }
   }
+}
+
+TEST(SelectKernelFuzz, MaskWordEdgesMatchScalarOracle) {
+  // Class sizes on either side of the pick mask's word boundary (64) and
+  // of the oversized fallback (past 128), each at every k from 0 to n. The
+  // buffer is one hop class, so each selection samples all n entries.
+  Rng rng(0xF0226);
+  flat::Scratch scratch;
+  oracle::Scratch ref;
+  oracle::g_tally = {};
+  for (const std::size_t n : {63, 64, 65, 127, 128, 129}) {
+    std::vector<NodeDescriptor> buf(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      buf[i] = {static_cast<NodeId>(3 * i + 1), 2};
+    }
+    for (std::size_t k = 0; k <= n; ++k) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const std::uint64_t seed = rng();
+        for (int policy = 0; policy < 3; ++policy) {
+          std::vector<NodeDescriptor> expected = buf, actual = buf;
+          Rng expected_rng(seed), actual_rng(seed);
+          switch (policy) {
+            case 0:
+              oracle::select_boundary_sampled(expected, k, expected_rng, ref,
+                                              /*from_head=*/true);
+              flat::select_head_unbiased(actual, k, actual_rng, scratch);
+              break;
+            case 1:
+              oracle::select_boundary_sampled(expected, k, expected_rng, ref,
+                                              /*from_head=*/false);
+              flat::select_tail_unbiased(actual, k, actual_rng, scratch);
+              break;
+            default:
+              oracle::select_rand(expected, k, expected_rng, ref);
+              flat::select_rand(actual, k, actual_rng, scratch);
+              break;
+          }
+          ASSERT_EQ(expected, actual)
+              << "policy=" << policy << " n=" << n << " k=" << k;
+          expect_same_stream(expected_rng, actual_rng, "selection");
+        }
+      }
+    }
+  }
+  oracle::expect_reached(3);
 }
 
 TEST(SelectKernelFuzz, CollidingAddressesMatchScalarOracle) {
