@@ -1,12 +1,13 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: view merge and
 // selection (object-graph and fused flat variants), a full pushpull
-// exchange, scheduler schedule/pop (calendar queue vs. binary heap), one
-// simulation cycle at several network sizes, graph snapshot construction
-// and the metric estimators, and the streaming census's rebuild and
-// estimators. These bound the cost of the experiment harness and catch
+// exchange, scheduler schedule/pop (event queue, calendar queue, binary
+// heap), one simulation cycle at several network sizes, graph snapshot
+// construction and the metric estimators, and the streaming census's
+// rebuild and estimators. These bound the cost of the experiment harness and catch
 // performance regressions in the exchange and measurement paths.
 #include <benchmark/benchmark.h>
 
+#include <limits>
 #include <queue>
 #include <utility>
 
@@ -20,6 +21,7 @@
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/calendar_queue.hpp"
 #include "pss/sim/cycle_engine.hpp"
+#include "pss/sim/event_queue.hpp"
 
 namespace {
 
@@ -232,8 +234,9 @@ BENCHMARK(BM_FlatAgeAndCopy);
 // --- Scheduler: calendar queue vs. binary heap -----------------------------
 // The classic "hold" model at event-engine scale: a pending set of `n`
 // events; each step pops the minimum and schedules a replacement — a mix of
-// rearm-like (+1 period) and message-like (short latency) timestamps,
-// exactly the event engine's steady-state access pattern.
+// rearm-like (+1 period) and message-like (short latency) timestamps. That
+// was the event engines' access pattern while wake-ups shared the calendar
+// with messages; BM_EventQueueHold below is their pattern since.
 
 struct HoldEvent {
   NodeId from = 0;
@@ -261,6 +264,31 @@ void BM_CalendarQueueHold(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CalendarQueueHold)->Arg(1 << 10)->Arg(1 << 17)->Arg(1 << 20);
+
+void BM_EventQueueHold(benchmark::State& state) {
+  // The event engines' steady state over `n` nodes at the default latency:
+  // each wake-up re-arms one period on in the ring and sends a request,
+  // each request answers with a reply, both at +U[0.01, 0.1] in the
+  // calendar. About 0.11 n messages wait beside the n wake-ups.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue<HoldEvent> q(/*period=*/1.0, /*max_latency=*/0.1);
+  Rng rng(17);
+  q.add_first_wakeups(0, n, [&](NodeId) { return rng.uniform(); });
+  const double forever = std::numeric_limits<double>::infinity();
+  for (auto _ : state) {
+    const auto* e = q.pop_if_at_most(forever);
+    const double latency = 0.01 + rng.uniform() * 0.09;
+    if (e->wakeup()) {
+      q.rearm(e->at + 1.0, e->node);
+      q.push(e->at + latency, HoldEvent{e->node, 0, 0, 0, 0});
+    } else if (e->message.kind == 0) {
+      q.push(e->at + latency, HoldEvent{e->message.to, e->message.from, 0, 1, 0});
+    }
+    benchmark::DoNotOptimize(e);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueHold)->Arg(1 << 10)->Arg(1 << 17)->Arg(1 << 20);
 
 void BM_BinaryHeapHold(benchmark::State& state) {
   using Entry = std::pair<double, std::uint64_t>;

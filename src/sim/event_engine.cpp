@@ -5,18 +5,15 @@
 namespace pss::sim {
 
 namespace {
-// One calendar year spans two periods: the pending set at any instant is
-// every node's next wake-up (all within one period) plus in-flight messages
-// (within max_latency), so a two-period year keeps the whole population
-// inside one lap with headroom for rearms landing a period ahead.
-constexpr double kYearsPerPeriod = 2.0;
+// Wake-ups this many places ahead in the ring are prefetched: the ring is
+// the exact order in which wake-ups pop.
+constexpr std::size_t kWakeLookahead = 8;
 }  // namespace
 
 EventEngine::EventEngine(Network& network, EventEngineConfig config)
     : network_(&network),
       config_(config),
-      queue_(kYearsPerPeriod *
-             (config.period > 0 ? config.period : 1.0)),
+      queue_(config.period, config.max_latency),
       pool_(network.options().view_size + 1),
       core_(network.arena(), network.spec(), network.options(),
             config.reply_timeout) {
@@ -28,23 +25,10 @@ EventEngine::EventEngine(Network& network, EventEngineConfig config)
                 "drop probability must be in [0,1]");
 }
 
-void EventEngine::push_event(double at, Kind kind, NodeId from, NodeId to,
-                             std::uint64_t exchange_id,
-                             DescriptorSlabPool::SlabId slab) {
-  FlatEvent e;
-  e.from = from;
-  e.to = to;
-  e.slab = slab;
-  e.kind = static_cast<std::uint32_t>(kind);
-  e.exchange_id = exchange_id;
-  queue_.push(at, next_seq_++, e);
-}
-
 void EventEngine::on_wakeup(NodeId id) {
   // Re-arm the periodic timer first so a node keeps its phase forever (and
   // the rearm takes its seq before the request — the legacy event order).
-  push_event(now_ + config_.period, Kind::kWakeup, kInvalidNode, id, 0,
-             DescriptorSlabPool::kNoSlab);
+  queue_.rearm(now_ + config_.period, id);
 
   if (!network_->is_live(id)) return;
   ++stats_.wakeups;
@@ -67,8 +51,8 @@ void EventEngine::on_wakeup(NodeId id) {
     const DescriptorSlabPool::SlabId slab = pool_.acquire();
     pool_.set_size(slab, core_.write_request(id, id, *request,
                                              pool_.data(slab), scratch_));
-    push_event(now_ + latency, Kind::kRequest, id, request->peer, request->id,
-               slab);
+    queue_.push(now_ + latency, {id, request->peer, slab,
+                                 Message::Kind::kRequest, request->id});
   }
   // A dropped request was still sent (the loss is in flight), so the span
   // lets the stitcher see the broken chain.
@@ -78,7 +62,7 @@ void EventEngine::on_wakeup(NodeId id) {
   }
 }
 
-void EventEngine::on_request(const FlatEvent& e) {
+void EventEngine::on_request(const Message& e) {
   if (!network_->is_live(e.to) || !network_->can_communicate(e.from, e.to)) {
     ++stats_.messages_to_dead;
     pool_.release(e.slab);
@@ -115,12 +99,12 @@ void EventEngine::on_request(const FlatEvent& e) {
   pool_.release(e.slab);
   if (deliver_reply) {
     pool_.set_size(reply_slab, reply_size);
-    push_event(now_ + latency, Kind::kReply, e.to, e.from, e.exchange_id,
-               reply_slab);
+    queue_.push(now_ + latency, {e.to, e.from, reply_slab,
+                                 Message::Kind::kReply, e.exchange_id});
   }
 }
 
-void EventEngine::on_reply(const FlatEvent& e) {
+void EventEngine::on_reply(const Message& e) {
   if (!network_->is_live(e.to) || !network_->can_communicate(e.from, e.to)) {
     ++stats_.messages_to_dead;
     pool_.release(e.slab);
@@ -144,37 +128,44 @@ void EventEngine::schedule_new_nodes() {
   const std::size_t n = network_->size();
   if (scheduled_nodes_ >= n) return;
   pending_.resize(n);
-  while (scheduled_nodes_ < n) {
-    const NodeId id = static_cast<NodeId>(scheduled_nodes_++);
-    const double at = now_ + network_->rng().uniform() * config_.period;
-    push_event(at, Kind::kWakeup, kInvalidNode, id, 0,
-               DescriptorSlabPool::kNoSlab);
-  }
+  Rng& rng = network_->rng();
+  queue_.add_first_wakeups(
+      static_cast<NodeId>(scheduled_nodes_), n - scheduled_nodes_,
+      [&](NodeId) { return now_ + rng.uniform() * config_.period; });
+  scheduled_nodes_ = n;
 }
 
 void EventEngine::advance_to(double until) {
+  PSS_CHECK_MSG(until >= now_, "run target lies before now()");
   schedule_new_nodes();
   const flat::NodeArena& arena = network_->arena();
-  while (const auto* item = queue_.pop_if_at_most(until)) {
-    now_ = item->at;
+  while (const auto* e = queue_.pop_if_at_most(until)) {
+    now_ = e->at;
     // The handler's arena touches are random reads over hundreds of MB at
-    // scale; warming the *next* event's target while this one is handled
-    // hides most of that latency (same trick as CycleEngine's lookahead).
-    // peek_hint is a scan-free guess — good enough for a prefetch.
-    if (const auto* hint = queue_.peek_hint()) {
+    // scale; warming later events' targets while this one is handled hides
+    // most of that latency (same trick as CycleEngine's lookahead). The
+    // ring names the coming wake-ups exactly; for messages the calendar's
+    // scan-free hint is good enough for a prefetch.
+    const NodeId waking = queue_.wakeup_ahead(kWakeLookahead);
+    if (waking != kInvalidNode) {
+      arena.prefetch_node(waking);
+#if defined(__GNUC__) || defined(__clang__)
+      __builtin_prefetch(pending_.data() + waking, 1, 1);
+#endif
+    }
+    if (const auto* hint = queue_.message_hint()) {
       arena.prefetch_node(hint->value.to);
-      if (hint->value.slab != DescriptorSlabPool::kNoSlab) {
-        pool_.prefetch(hint->value.slab);
-      }
+      pool_.prefetch(hint->value.slab);
 #if defined(__GNUC__) || defined(__clang__)
       __builtin_prefetch(pending_.data() + hint->value.to, 1, 1);
 #endif
     }
-    const FlatEvent e = item->value;  // handlers push, which may repoint item
-    switch (static_cast<Kind>(e.kind)) {
-      case Kind::kWakeup: on_wakeup(e.to); break;
-      case Kind::kRequest: on_request(e); break;
-      case Kind::kReply: on_reply(e); break;
+    if (e->wakeup()) {
+      on_wakeup(e->node);
+    } else if (e->message.kind == Message::Kind::kRequest) {
+      on_request(e->message);
+    } else {
+      on_reply(e->message);
     }
   }
   now_ = until;

@@ -18,13 +18,15 @@
 //
 // Execution runs entirely on the network's flat::NodeArena, mirroring what
 // CycleEngine did for the atomic model:
-//   - the scheduler is an index-based calendar queue (calendar_queue.hpp):
-//     O(1) amortized schedule/pop over ~N pending events instead of a
-//     global binary heap's O(log N) pointer-heavy sifts, with the exact
-//     (at, seq) pop order of the heap preserved;
+//   - the scheduler is an EventQueue (event_queue.hpp): the periodic
+//     wake-ups wait in a FIFO ring, since each re-arm lands one period
+//     after a non-decreasing now, and only in-flight messages (about
+//     0.11 N at the default latency) go through an index-based calendar
+//     queue (calendar_queue.hpp); popping the smaller of the two heads
+//     keeps the exact (at, seq) order of one global binary heap;
 //   - message payloads are fixed-stride slabs in a recycling
-//     DescriptorSlabPool instead of heap-allocated View objects — an event
-//     record is 40 trivially-copyable bytes and steady state allocates
+//     DescriptorSlabPool instead of heap-allocated View objects — a queued
+//     message is 24 trivially-copyable bytes and steady state allocates
 //     nothing;
 //   - the exchange itself — expiry, selection, aging, buffer builds,
 //     absorb, forge and trace spans — is sim::ExchangeCore
@@ -44,7 +46,7 @@
 #include "pss/common/types.hpp"
 #include "pss/membership/descriptor_slab_pool.hpp"
 #include "pss/membership/flat_ops.hpp"
-#include "pss/sim/calendar_queue.hpp"
+#include "pss/sim/event_queue.hpp"
 #include "pss/sim/exchange_apply.hpp"
 #include "pss/sim/network.hpp"
 #include "pss/sim/probe.hpp"
@@ -60,6 +62,17 @@ struct EventEngineConfig {
   double reply_timeout = 0.5;     ///< pull reply validity window
 };
 
+/// A message in flight between two nodes, as both event engines queue
+/// it: 24 trivially-copyable bytes, with the payload in a message slab.
+struct InFlightMessage {
+  enum class Kind : std::uint32_t { kRequest, kReply };
+  NodeId from = kInvalidNode;
+  NodeId to = kInvalidNode;
+  DescriptorSlabPool::SlabId slab = DescriptorSlabPool::kNoSlab;
+  Kind kind = Kind::kRequest;
+  std::uint64_t exchange_id = 0;  ///< matches replies to requests
+};
+
 /// Aggregate counters over the whole run.
 struct EventEngineStats {
   std::uint64_t wakeups = 0;            ///< active-thread firings
@@ -72,12 +85,16 @@ struct EventEngineStats {
 
 class EventEngine {
  public:
-  /// Schedules an initial wake-up for every live node at a uniform random
-  /// phase in [0, period). `network` must outlive the engine.
+  /// Every node, live or not, gets its first wake-up at a uniform random
+  /// phase in [now, now + period), drawn in id order when the first run_*
+  /// call after it joined starts. `network` must outlive the engine.
   EventEngine(Network& network, EventEngineConfig config);
 
   /// Processes all events with timestamp <= until (exclusive of later ones),
   /// and re-anchors the integer cycle counter at `until` (see run_cycles).
+  /// `until` must not lie before now() (std::logic_error otherwise): time
+  /// never runs backwards, so late joiners never get phases behind events
+  /// already handled. An equal target is a no-op.
   void run_until(double until);
 
   /// Advances by `cycles * period`. Wake targets are derived from an
@@ -136,41 +153,29 @@ class EventEngine {
   /// Message slabs currently attached to queued events.
   std::size_t message_pool_in_use() const { return pool_.in_use(); }
 
-  /// Bytes resident in engine-owned state (calendar buckets, message pool,
-  /// pending table) — the engine's contribution on top of the network's
-  /// resident_bytes().
+  /// Bytes resident in engine-owned state (wake-up ring, calendar, message
+  /// pool, pending table) — the engine's contribution on top of the
+  /// network's resident_bytes().
   std::size_t resident_bytes() const {
     return queue_.storage_bytes() + pool_.storage_bytes() +
            pending_.capacity() * sizeof(PendingExchange);
   }
 
  private:
-  enum class Kind : std::uint32_t { kWakeup, kRequest, kReply };
-
-  /// 24-byte trivially-copyable event record; payloads live in the pool.
-  struct FlatEvent {
-    NodeId from = kInvalidNode;
-    NodeId to = kInvalidNode;
-    DescriptorSlabPool::SlabId slab = DescriptorSlabPool::kNoSlab;
-    std::uint32_t kind = 0;
-    std::uint64_t exchange_id = 0;  ///< matches replies to requests
-  };
+  using Message = InFlightMessage;
 
   void advance_to(double until);
   void schedule_new_nodes();
-  void push_event(double at, Kind kind, NodeId from, NodeId to,
-                  std::uint64_t exchange_id, DescriptorSlabPool::SlabId slab);
   void on_wakeup(NodeId node);
-  void on_request(const FlatEvent& e);
-  void on_reply(const FlatEvent& e);
+  void on_request(const Message& e);
+  void on_reply(const Message& e);
 
   Network* network_;
   EventEngineConfig config_;
   EventEngineStats stats_;
   double now_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t next_exchange_ = 1;
-  CalendarQueue<FlatEvent> queue_;
+  EventQueue<Message> queue_;
   DescriptorSlabPool pool_;
   ExchangeCore core_;                   ///< the Figure-1 exchange itself
   std::vector<PendingExchange> pending_;  ///< per-node pull bookkeeping

@@ -10,9 +10,10 @@
 // the sequential run. The engine therefore splits every event into:
 //
 //   S-part (sequencer): everything that touches global state, executed on
-//     the driving thread in exact (at, seq) pop order — timer re-arms,
-//     liveness checks, master-Rng draws, slab acquisition, event pushes,
-//     pull admission (pending table), engine counters;
+//     the driving thread in exact (at, seq) pop order — timer re-arms into
+//     the wake-up ring, liveness checks, master-Rng draws, slab
+//     acquisition, message pushes into the calendar, pull admission
+//     (pending table), engine counters;
 //   W-part (worker): the per-node kernel work — ExchangeCore's on_request /
 //     on_reply, i.e. the merge/select absorb into one node's slot with
 //     that node's own Rng stream — deferred into a batch and executed in
@@ -21,14 +22,15 @@
 // Batches are bounded by a conservative lookahead window of width
 //   W = min(min_latency, period):
 // every event an in-window handler creates lands at least W after the
-// window start (messages by the latency floor, re-arms by the period), so
-// nothing processed in a window can be scheduled into it — the popped
-// prefix is causally closed (the same safe-horizon argument LoopbackDriver
-// uses to totally order timer + frame events). Within a window, W-parts on
-// distinct nodes commute: each touches only its node's slot, stats row and
-// Rng stream, plus message slabs no other task holds. Two W-parts on the
-// SAME node must keep their pop order, so a window also closes early at the
-// first event whose target is already claimed by a deferred task —
+// window start (messages by the latency floor, a re-arm one period after
+// its wake-up), so nothing processed in a window can be scheduled into
+// it — the popped prefix is causally closed (the same safe-horizon
+// argument LoopbackDriver uses to totally order timer + frame events).
+// Within a window, W-parts on distinct nodes commute: each touches only its
+// node's slot, stats row and Rng stream, plus message slabs no other task
+// holds. Two W-parts on the SAME node must keep their pop order, so a
+// window also closes early at the first event whose target (a message's
+// `to`, a wake-up's node) is already claimed by a deferred task —
 // ConflictScheduler's contiguous-batch discipline transplanted to event
 // targets. Wakeups run entirely on the sequencer (they read and write
 // their node's slot inline), which is safe because the S-phase strictly
@@ -42,15 +44,15 @@
 //
 // Bit-identity vs the sequential engine, the invariant
 // tests/parallel_event_engine_test.cpp and bench/scale_async's digest gate
-// pin: the pop order is the sequential order (same queue, same pushes in
-// the same S-part order, so the same (at, seq) tags); master-Rng,
-// exchange-id and sequence-counter consumption happen on the sequencer in
-// that order; per-node draws are serialized per node by the claim rule; and
-// counters are S-phase only. The one invisible difference: slabs consumed
-// by W-parts are recycled at the window barrier instead of mid-event, so
-// the pool's free-list order — and possibly its high-water mark — may
-// differ. Slab ids are opaque handles; no payload, view, stat or Rng value
-// depends on them.
+// pin: the pop order is the sequential order (the same EventQueue, the
+// same pushes and re-arms in the same S-part order, so the same (at, seq)
+// tags); master-Rng, exchange-id and sequence-counter consumption happen
+// on the sequencer in that order; per-node draws are serialized per node
+// by the claim rule; and counters are S-phase only. The one invisible
+// difference: slabs consumed by W-parts are recycled at the window barrier
+// instead of mid-event, so the pool's free-list order — and possibly its
+// high-water mark — may differ. Slab ids are opaque handles; no payload,
+// view, stat or Rng value depends on them.
 //
 // Thread count changes nothing but which lane runs a W-part: batch
 // composition is fixed by the schedule, so runs are bit-identical across
@@ -64,8 +66,8 @@
 #include "pss/common/types.hpp"
 #include "pss/membership/descriptor_slab_pool.hpp"
 #include "pss/membership/flat_ops.hpp"
-#include "pss/sim/calendar_queue.hpp"
 #include "pss/sim/event_engine.hpp"
+#include "pss/sim/event_queue.hpp"
 #include "pss/sim/exchange_apply.hpp"
 #include "pss/sim/network.hpp"
 #include "pss/sim/probe.hpp"
@@ -75,15 +77,15 @@ namespace pss::sim {
 
 class ParallelEventEngine {
  public:
-  /// Schedules an initial wake-up for every live node at a uniform random
-  /// phase in [0, period), exactly as EventEngine does (same master-Rng
+  /// Schedules first wake-ups exactly as EventEngine does (same master-Rng
   /// draws in id order). `threads` is the total lane count (0 = hardware
   /// concurrency); `network` must outlive the engine.
   ParallelEventEngine(Network& network, EventEngineConfig config,
                       unsigned threads);
 
   /// Processes all events with timestamp <= until and re-anchors the
-  /// integer cycle counter (see EventEngine::run_until).
+  /// integer cycle counter (see EventEngine::run_until, including its
+  /// refusal of a target before now()).
   void run_until(double until);
 
   /// Advances by `cycles * period` from the tick anchor; fires attached
@@ -145,24 +147,17 @@ class ParallelEventEngine {
   }
 
  private:
-  enum class Kind : std::uint32_t { kWakeup, kRequest, kReply };
-
-  struct FlatEvent {
-    NodeId from = kInvalidNode;
-    NodeId to = kInvalidNode;
-    DescriptorSlabPool::SlabId slab = DescriptorSlabPool::kNoSlab;
-    std::uint32_t kind = 0;
-    std::uint64_t exchange_id = 0;
-  };
+  using Message = InFlightMessage;
+  using Queue = EventQueue<Message>;
 
   /// A deferred W-part: one node's absorb kernel over one message slab.
   struct SlotTask {
-    NodeId node = kInvalidNode;  ///< target (the event's `to`)
-    NodeId peer = kInvalidNode;  ///< the event's `from` (forge receiver)
+    NodeId node = kInvalidNode;  ///< target (the message's `to`)
+    NodeId peer = kInvalidNode;  ///< the message's `from` (forge receiver)
     DescriptorSlabPool::SlabId slab = DescriptorSlabPool::kNoSlab;
     DescriptorSlabPool::SlabId reply_slab = DescriptorSlabPool::kNoSlab;
     std::uint32_t size = 0;      ///< payload entries in `slab`
-    std::uint32_t kind = 0;      ///< kRequest or kReply
+    Message::Kind kind = Message::Kind::kRequest;
     std::uint64_t exchange_id = 0;  ///< trace span label (see attach_trace)
   };
 
@@ -174,12 +169,12 @@ class ParallelEventEngine {
 
   void advance_to(double until);
   void schedule_new_nodes();
-  void push_event(double at, Kind kind, NodeId from, NodeId to,
-                  std::uint64_t exchange_id, DescriptorSlabPool::SlabId slab);
-  /// S-parts (sequencer only). seq_request/seq_reply may defer a SlotTask.
+  /// Sets now() to the event's time and runs its S-part (sequencer only).
+  /// seq_request/seq_reply may defer a SlotTask.
+  void seq_event(const Queue::Event& e);
   void seq_wakeup(NodeId id);
-  void seq_request(const FlatEvent& e);
-  void seq_reply(const FlatEvent& e);
+  void seq_request(const Message& e);
+  void seq_reply(const Message& e);
   /// Runs the current batch's W-parts (pool or inline), then recycles the
   /// consumed slabs in batch order and clears the batch.
   void flush_batch();
@@ -197,9 +192,8 @@ class ParallelEventEngine {
   EventEngineStats stats_;
   double now_ = 0;
   double lookahead_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t next_exchange_ = 1;
-  CalendarQueue<FlatEvent> queue_;
+  Queue queue_;
   DescriptorSlabPool pool_;
   ExchangeCore core_;  ///< the Figure-1 exchange, shared by all lanes
   std::vector<PendingExchange> pending_;

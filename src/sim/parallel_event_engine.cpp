@@ -7,8 +7,6 @@
 namespace pss::sim {
 
 namespace {
-// Same calendar-year sizing as the sequential engine (see event_engine.cpp).
-constexpr double kYearsPerPeriod = 2.0;
 // Batches at or below this many W-parts run inline on the sequencer: the
 // pool's wake/barrier latency exceeds a handful of absorb kernels (the
 // same economics as CycleEngine's inline-batch threshold).
@@ -20,7 +18,7 @@ ParallelEventEngine::ParallelEventEngine(Network& network,
                                          unsigned threads)
     : network_(&network),
       config_(config),
-      queue_(kYearsPerPeriod * (config.period > 0 ? config.period : 1.0)),
+      queue_(config.period, config.max_latency),
       pool_(network.options().view_size + 1),
       core_(network.arena(), network.spec(), network.options(),
             config.reply_timeout),
@@ -35,25 +33,12 @@ ParallelEventEngine::ParallelEventEngine(Network& network,
   lanes_.resize(pool_threads_.concurrency());
 }
 
-void ParallelEventEngine::push_event(double at, Kind kind, NodeId from,
-                                     NodeId to, std::uint64_t exchange_id,
-                                     DescriptorSlabPool::SlabId slab) {
-  FlatEvent e;
-  e.from = from;
-  e.to = to;
-  e.slab = slab;
-  e.kind = static_cast<std::uint32_t>(kind);
-  e.exchange_id = exchange_id;
-  queue_.push(at, next_seq_++, e);
-}
-
 void ParallelEventEngine::seq_wakeup(NodeId id) {
   // Sequencer-only handler: the wakeup reads and writes its own node's
   // slot, which is safe ahead of the window's W-phase (and the claim rule
   // closed the window if a deferred task already targets this node). Same
   // master-Rng, slab and event order as EventEngine::on_wakeup.
-  push_event(now_ + config_.period, Kind::kWakeup, kInvalidNode, id, 0,
-             DescriptorSlabPool::kNoSlab);
+  queue_.rearm(now_ + config_.period, id);
 
   if (!network_->is_live(id)) return;
   ++stats_.wakeups;
@@ -76,8 +61,8 @@ void ParallelEventEngine::seq_wakeup(NodeId id) {
     pool_.set_size(slab, core_.write_request(id, id, *request,
                                              pool_.data(slab),
                                              lanes_[0].scratch));
-    push_event(now_ + latency, Kind::kRequest, id, request->peer, request->id,
-               slab);
+    queue_.push(now_ + latency, {id, request->peer, slab,
+                                 Message::Kind::kRequest, request->id});
   }
   if (trace != nullptr) {
     trace->record({TracePhase::kRequestSent, id, request->peer, request->id,
@@ -85,7 +70,7 @@ void ParallelEventEngine::seq_wakeup(NodeId id) {
   }
 }
 
-void ParallelEventEngine::seq_request(const FlatEvent& e) {
+void ParallelEventEngine::seq_request(const Message& e) {
   if (!network_->is_live(e.to) || !network_->can_communicate(e.from, e.to)) {
     ++stats_.messages_to_dead;
     // Nothing will read this payload; recycling it immediately matches the
@@ -115,8 +100,8 @@ void ParallelEventEngine::seq_request(const FlatEvent& e) {
     // state); its payload and entry count land during the W-phase, which
     // completes before the window barrier — and the reply's arrival lies
     // beyond the lookahead horizon, so no pop can observe the slab early.
-    push_event(now_ + latency, Kind::kReply, e.to, e.from, e.exchange_id,
-               reply_slab);
+    queue_.push(now_ + latency, {e.to, e.from, reply_slab,
+                                 Message::Kind::kReply, e.exchange_id});
   }
   claim(e.to);
   SlotTask t;
@@ -125,12 +110,12 @@ void ParallelEventEngine::seq_request(const FlatEvent& e) {
   t.slab = e.slab;
   t.reply_slab = reply_slab;
   t.size = pool_.size(e.slab);
-  t.kind = static_cast<std::uint32_t>(Kind::kRequest);
+  t.kind = Message::Kind::kRequest;
   t.exchange_id = e.exchange_id;
   batch_.push_back(t);
 }
 
-void ParallelEventEngine::seq_reply(const FlatEvent& e) {
+void ParallelEventEngine::seq_reply(const Message& e) {
   if (!network_->is_live(e.to) || !network_->can_communicate(e.from, e.to)) {
     ++stats_.messages_to_dead;
     pool_.release(e.slab);
@@ -148,7 +133,7 @@ void ParallelEventEngine::seq_reply(const FlatEvent& e) {
   t.peer = e.from;
   t.slab = e.slab;
   t.size = pool_.size(e.slab);
-  t.kind = static_cast<std::uint32_t>(Kind::kReply);
+  t.kind = Message::Kind::kReply;
   t.exchange_id = e.exchange_id;
   batch_.push_back(t);
 }
@@ -158,7 +143,7 @@ void ParallelEventEngine::run_task(const SlotTask& t, LaneState& lane) {
   // task's slabs, and records spans through the thread-safe probe. ticks_
   // is stable while lanes run (mutated only between windows).
   const flat::DescSpan payload(pool_.data(t.slab), t.size);
-  if (t.kind == static_cast<std::uint32_t>(Kind::kReply)) {
+  if (t.kind == Message::Kind::kReply) {
     core_.on_reply(t.node, t.node, t.peer, t.exchange_id, payload,
                    lane.scratch, ticks_);
     return;
@@ -196,33 +181,41 @@ void ParallelEventEngine::flush_batch() {
 }
 
 void ParallelEventEngine::schedule_new_nodes() {
+  // EventEngine::schedule_new_nodes' draws, in the same id order.
   const std::size_t n = network_->size();
   if (scheduled_nodes_ >= n) return;
   pending_.resize(n);
   claim_.resize(n, 0);
-  while (scheduled_nodes_ < n) {
-    const NodeId id = static_cast<NodeId>(scheduled_nodes_++);
-    const double at = now_ + network_->rng().uniform() * config_.period;
-    push_event(at, Kind::kWakeup, kInvalidNode, id, 0,
-               DescriptorSlabPool::kNoSlab);
+  Rng& rng = network_->rng();
+  queue_.add_first_wakeups(
+      static_cast<NodeId>(scheduled_nodes_), n - scheduled_nodes_,
+      [&](NodeId) { return now_ + rng.uniform() * config_.period; });
+  scheduled_nodes_ = n;
+}
+
+void ParallelEventEngine::seq_event(const Queue::Event& e) {
+  now_ = e.at;
+  if (e.wakeup()) {
+    seq_wakeup(e.node);
+  } else if (e.message.kind == Message::Kind::kRequest) {
+    seq_request(e.message);
+  } else {
+    seq_reply(e.message);
   }
 }
 
 void ParallelEventEngine::advance_to(double until) {
+  PSS_CHECK_MSG(until >= now_, "run target lies before now()");
   schedule_new_nodes();
-  FlatEvent carry_event;
-  double carry_at = 0;
+  Queue::Event carry;
   bool have_carry = false;
   for (;;) {
-    double at;
-    FlatEvent e;
+    Queue::Event e;
     if (have_carry) {
-      at = carry_at;
-      e = carry_event;
+      e = carry;
       have_carry = false;
-    } else if (const auto* item = queue_.pop_if_at_most(until)) {
-      at = item->at;
-      e = item->value;
+    } else if (const auto* popped = queue_.pop_if_at_most(until)) {
+      e = *popped;
     } else {
       break;
     }
@@ -231,31 +224,20 @@ void ParallelEventEngine::advance_to(double until) {
     // claimed" in freshly grown claim_ entries, so the counter starts
     // above it and only ever grows).
     ++claim_gen_;
-    const double window_end = at + lookahead_;
-    now_ = at;
-    switch (static_cast<Kind>(e.kind)) {
-      case Kind::kWakeup: seq_wakeup(e.to); break;
-      case Kind::kRequest: seq_request(e); break;
-      case Kind::kReply: seq_reply(e); break;
-    }
+    const double window_end = e.at + lookahead_;
+    seq_event(e);
     // Fill the window: sequencer parts run in exact pop order; the window
     // closes at the lookahead horizon, the run target, or the first event
     // whose target a deferred task already claims (kept for the next
     // window so conflicting pairs retain their global order).
-    while (const auto* item = queue_.pop_if_at_most(until)) {
-      if (item->at >= window_end || claimed(item->value.to)) {
-        carry_at = item->at;
-        carry_event = item->value;
+    while (const auto* next = queue_.pop_if_at_most(until)) {
+      const NodeId target = next->wakeup() ? next->node : next->message.to;
+      if (next->at >= window_end || claimed(target)) {
+        carry = *next;
         have_carry = true;
         break;
       }
-      now_ = item->at;
-      const FlatEvent next = item->value;  // handlers push, repointing item
-      switch (static_cast<Kind>(next.kind)) {
-        case Kind::kWakeup: seq_wakeup(next.to); break;
-        case Kind::kRequest: seq_request(next); break;
-        case Kind::kReply: seq_reply(next); break;
-      }
+      seq_event(*next);
     }
     flush_batch();
   }

@@ -5,11 +5,12 @@
 // stack's reference semantics.
 //
 // The driver merge-pops two queues — its own periodic node timers (a
-// sim::CalendarQueue, EventEngine's scheduler) and the bus's in-flight
-// frames — by (at, seq), with every seq drawn from the
-// bus's single counter (LoopbackTransport::allocate_seq). That recreates
-// EventEngine's one totally-ordered event stream, and the handlers fire in
-// EventEngine's exact statement order:
+// sim::CalendarQueue) and the bus's in-flight frames — by (at, seq), with
+// every seq drawn from the bus's single counter
+// (LoopbackTransport::allocate_seq). That recreates EventEngine's one
+// totally-ordered event stream (EventEngine merges its wake-up ring with
+// its message calendar the same way; see sim/event_queue.hpp), and the
+// handlers fire in EventEngine's exact statement order:
 //
 //   timer due   -> rearm first (seq!), then liveness gate, then on_tick
 //   frame due   -> decode, liveness/partition gate (messages_to_dead),
@@ -54,6 +55,8 @@ class LoopbackDriver {
                  LoopbackDriverConfig config = {});
 
   /// Processes all timer and frame events with timestamp <= until.
+  /// `until` must not lie before now() (std::logic_error otherwise), as in
+  /// EventEngine::run_until.
   void run_until(double until);
 
   /// Advances by `cycles * period` from the integer tick anchor — the same

@@ -9,7 +9,8 @@ LoopbackDriver::LoopbackDriver(sim::Network& network, LoopbackTransport& bus,
     : network_(&network),
       bus_(&bus),
       config_(config),
-      // EventEngine's calendar setting: one year spans two periods.
+      // Every pending timer lies within one period ahead; a two-period
+      // year keeps them all inside one lap of the calendar.
       timers_(2.0 * (config.period > 0 ? config.period : 1.0)),
       codec_(network.options().view_size) {
   PSS_CHECK_MSG(config.period > 0 && config.reply_timeout > 0,
@@ -34,6 +35,7 @@ void LoopbackDriver::schedule_new_nodes() {
 }
 
 void LoopbackDriver::advance_to(double until) {
+  PSS_CHECK_MSG(until >= now_, "run target lies before now()");
   schedule_new_nodes();
   for (;;) {
     const auto frame_next = bus_->next_event();

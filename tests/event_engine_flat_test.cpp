@@ -1,22 +1,30 @@
-// The flat event engine's contract, in two halves:
+// The flat event engine's contract, in three parts:
 //   1. CalendarQueue unit tests — deterministic (at, seq) pop order under
 //      ties, bucket growth/shrink, far-future events (the sparse direct-
 //      search path), and a randomized replay against std::priority_queue.
-//   2. Trace equivalence — the flat EventEngine must reproduce the frozen
+//   2. EventQueue unit tests — the wake-up ring's FIFO order across
+//      wrap-around and growth, late batches merged between pending
+//      re-arms, (at, seq) ties between the ring and the calendar, the
+//      debug check on out-of-order re-arms, and a randomized replay of the
+//      engines' load against std::priority_queue.
+//   3. Trace equivalence — the flat EventEngine must reproduce the frozen
 //      LegacyEventEngine bit-for-bit from the same seed: identical
 //      EventEngineStats, identical final views and per-node counters, for
 //      every evaluated protocol and under loss, timeouts, kills, revivals,
-//      partitions and late joiners. This is the pin that let the engine
-//      move off the object graph without the semantics moving.
+//      partitions and late joiners, at latencies from zero to beyond a
+//      period. This is the pin that let the engine move off the object
+//      graph without the semantics moving.
 #include <gtest/gtest.h>
 
 #include <queue>
+#include <tuple>
 #include <vector>
 
 #include "pss/common/rng.hpp"
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/calendar_queue.hpp"
 #include "pss/sim/event_engine.hpp"
+#include "pss/sim/event_queue.hpp"
 #include "pss/sim/legacy_event_engine.hpp"
 
 namespace pss::sim {
@@ -110,6 +118,185 @@ TEST(CalendarQueue, MatchesBinaryHeapUnderRandomizedHold) {
       q.push(at, seq, seq);
       ++seq;
     }
+  }
+}
+
+// --- EventQueue --------------------------------------------------------------
+
+// Pops everything due by `until` as (at, seq, node or -1 - message).
+std::vector<std::tuple<double, std::uint64_t, long>> drain(
+    EventQueue<int>& q, double until) {
+  std::vector<std::tuple<double, std::uint64_t, long>> out;
+  while (const auto* e = q.pop_if_at_most(until)) {
+    out.emplace_back(e->at, e->seq,
+                     e->wakeup() ? static_cast<long>(e->node)
+                                 : -1 - static_cast<long>(e->message));
+  }
+  return out;
+}
+
+TEST(EventQueue, RingKeepsFifoOrderAcrossWrapAroundAndGrowth) {
+  EventQueue<int> q(1.0, 0.1);
+  const std::vector<double> phase = {0.4, 0.1, 0.3, 0.2};
+  q.add_first_wakeups(0, 4, [&](NodeId id) { return phase[id]; });
+  EXPECT_EQ(q.size(), 4u);
+  // Three full periods of pop-then-rearm walk the head around the ring
+  // three times; the order stays the phase order.
+  double now = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const NodeId expect : {1u, 3u, 2u, 0u}) {
+      const auto* e = q.pop_if_at_most(1e9);
+      ASSERT_NE(e, nullptr);
+      ASSERT_TRUE(e->wakeup());
+      EXPECT_EQ(e->node, expect) << "round " << round;
+      EXPECT_GE(e->at, now);
+      now = e->at;
+      q.rearm(now + 1.0, e->node);
+    }
+  }
+  // Pop two, then re-arm three more than were popped: the ring is full
+  // with its head mid-buffer, so it must unroll and grow.
+  const auto* a = q.pop_if_at_most(1e9);
+  const NodeId na = a->node;
+  const double ta = a->at;
+  const auto* b = q.pop_if_at_most(1e9);
+  const NodeId nb = b->node;
+  const double tb = b->at;
+  EXPECT_EQ(na, 1u);
+  EXPECT_EQ(nb, 3u);
+  q.rearm(ta + 1.0, na);
+  q.rearm(tb + 1.0, nb);
+  q.rearm(tb + 1.0, 7);  // a tie on `at`: seq keeps it behind node 3
+  q.rearm(tb + 1.5, 8);
+  q.rearm(tb + 2.0, 9);
+  EXPECT_EQ(q.size(), 7u);
+  std::vector<NodeId> order;
+  while (const auto* e = q.pop_if_at_most(1e9)) order.push_back(e->node);
+  EXPECT_EQ(order, (std::vector<NodeId>{2, 0, 1, 3, 7, 8, 9}));
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(EventQueue, LateBatchMergesBetweenPendingRearms) {
+  EventQueue<int> q(1.0, 0.1);
+  // Binary fractions throughout, so the tie below is exact.
+  q.add_first_wakeups(0, 4, [](NodeId id) { return 0.125 + 0.25 * id; });
+  // Run to 1.0: every node woke once and re-armed one period later.
+  for (const auto& [at, seq, node] : drain(q, 1.0)) {
+    q.rearm(at + 1.0, static_cast<NodeId>(node));
+  }
+  // Pending re-arms at 1.125, 1.375, 1.625, 1.875; the late batch's
+  // phases, drawn in id order, land before, between and after them.
+  const std::vector<double> late = {1.75, 1.0625, 1.9375, 1.375};
+  q.add_first_wakeups(4, 4, [&](NodeId id) { return late[id - 4]; });
+  EXPECT_EQ(q.size(), 8u);
+  std::vector<NodeId> order;
+  for (const auto& [at, seq, node] : drain(q, 2.0)) {
+    order.push_back(static_cast<NodeId>(node));
+  }
+  // 1.375 is a tie between node 1's re-arm and node 7's first wake-up:
+  // the re-arm was scheduled first, so its smaller seq pops first.
+  EXPECT_EQ(order, (std::vector<NodeId>{5, 0, 1, 7, 2, 4, 3, 6}));
+}
+
+TEST(EventQueue, TiesBetweenRingAndCalendarBreakOnSeq) {
+  EventQueue<int> q(1.0, 0.1);
+  q.add_first_wakeups(0, 1, [](NodeId) { return 0.0; });
+  const auto* first = q.pop_if_at_most(0.0);
+  ASSERT_NE(first, nullptr);
+  // Wake-up re-armed before the message: the wake-up pops first.
+  q.rearm(1.0, 0);
+  q.push(1.0, 11);
+  // Message pushed before the next wake-up at the same time: it pops
+  // first.
+  q.push(2.0, 22);
+  q.rearm(2.0, 0);
+  const auto events = drain(q, 2.0);
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(std::get<2>(events[0]), 0);
+  EXPECT_EQ(std::get<2>(events[1]), -1 - 11);
+  EXPECT_EQ(std::get<2>(events[2]), -1 - 22);
+  EXPECT_EQ(std::get<2>(events[3]), 0);
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    EXPECT_LT(std::get<1>(events[i - 1]), std::get<1>(events[i]));
+  }
+  // Nothing due before a target pops nothing and removes nothing.
+  q.rearm(3.0, 0);
+  EXPECT_EQ(q.pop_if_at_most(2.5), nullptr);
+  EXPECT_EQ(q.size(), 1u);
+}
+
+#ifndef NDEBUG
+// PSS_DCHECK compiles out under NDEBUG, so this test exists in debug
+// builds only.
+TEST(EventQueue, DebugCheckRefusesAnOutOfOrderRearm) {
+  EventQueue<int> q(1.0, 0.1);
+  q.rearm(2.0, 0);
+  q.rearm(2.0, 1);  // equal time, larger seq: in order
+  EXPECT_THROW(q.rearm(1.5, 2), std::logic_error);
+}
+#endif
+
+TEST(EventQueue, MatchesBinaryHeapUnderRandomizedEngineLoad) {
+  // The engines' access pattern against one binary heap over every event:
+  // run to a target, pop whatever is due, re-arm each wake-up one period
+  // on, send messages at +U[lo, hi] (sometimes at +0), answer some of
+  // them, and let batches of late joiners arrive between targets. The
+  // heap sees the seqs the queue hands out, so any divergence in order,
+  // time, seq or payload shows.
+  for (const auto& [lo, hi] : {std::pair{0.01, 0.1}, std::pair{0.0, 0.0},
+                               std::pair{0.3, 2.5}}) {
+    constexpr double kPeriod = 1.0;
+    using Ref = std::tuple<double, std::uint64_t, long>;
+    std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref;
+    EventQueue<int> q(kPeriod, hi);
+    Rng rng(29);
+    std::uint64_t seq = 0;
+    NodeId nodes = 0;
+    int next_message = 0;
+    double now = 0;
+    auto add_nodes = [&](NodeId count) {
+      q.add_first_wakeups(nodes, count, [&](NodeId id) {
+        const double at = now + rng.uniform() * kPeriod;
+        ref.emplace(at, seq++, static_cast<long>(id));
+        return at;
+      });
+      nodes += count;
+    };
+    auto send = [&](double at) {
+      ref.emplace(at, seq++, -1 - static_cast<long>(next_message));
+      q.push(at, next_message++);
+    };
+    add_nodes(200);
+    std::size_t popped = 0;
+    for (int step = 1; step <= 300; ++step) {
+      const double until = 0.1 * step;
+      while (const auto* e = q.pop_if_at_most(until)) {
+        ASSERT_FALSE(ref.empty());
+        const auto [at, s, id] = ref.top();
+        ref.pop();
+        ASSERT_EQ(e->at, at);
+        ASSERT_EQ(e->seq, s);
+        ASSERT_EQ(e->wakeup() ? static_cast<long>(e->node)
+                              : -1 - static_cast<long>(e->message),
+                  id);
+        ++popped;
+        now = e->at;
+        if (e->wakeup()) {
+          ref.emplace(now + kPeriod, seq++, id);
+          q.rearm(now + kPeriod, e->node);
+          if (rng.chance(0.8)) {
+            send(rng.chance(0.1) ? now : now + lo + rng.uniform() * (hi - lo));
+          }
+        } else if (rng.chance(0.5)) {
+          send(now + lo + rng.uniform() * (hi - lo));
+        }
+      }
+      ASSERT_TRUE(ref.empty() || std::get<0>(ref.top()) > until);
+      ASSERT_EQ(q.size(), ref.size());
+      now = until;
+      if (step % 37 == 0) add_nodes(1 + step % 23);
+    }
+    EXPECT_GT(popped, 200u * 25u);
   }
 }
 
@@ -212,6 +399,75 @@ TEST(EventEngineTraceEquivalence, LossTimeoutsKillsRevivalsAndLateJoiners) {
   EXPECT_GT(legacy.stats().replies_stale, 0u);
   expect_stats_equal(legacy.stats(), flat.stats());
   expect_networks_equal(legacy_net, flat_net);
+}
+
+// Latency regimes the default config never reaches: zero delay (every
+// message due at the instant it is sent), the default band, and messages
+// slower than a whole period. The calendar's year follows max_latency, so
+// each regime sizes it differently.
+struct LatencyRegime {
+  double min_latency;
+  double max_latency;
+};
+constexpr LatencyRegime kLatencyRegimes[] = {{0.0, 0.0}, {0.01, 0.1},
+                                             {0.3, 2.5}};
+
+// Gives the `count` newest nodes of `net` a first view of two older nodes.
+void seed_late_joiners(Network& net, NodeId count) {
+  const NodeId n = static_cast<NodeId>(net.size());
+  for (NodeId id = n - count; id < n; ++id) {
+    net.node(id).init_view(View{{id / 2, 0}, {id / 3, 0}});
+  }
+}
+
+TEST(EventEngineTraceEquivalence, LatencyRegimesWithLossKillsAndLateJoiners) {
+  for (const LatencyRegime& regime : kLatencyRegimes) {
+    auto cfg = async_config();
+    cfg.min_latency = regime.min_latency;
+    cfg.max_latency = regime.max_latency;
+    cfg.drop_probability = 0.2;
+    cfg.reply_timeout = 1.5;
+    auto legacy_net = bootstrap::make_random(ProtocolSpec::newscast(),
+                                             ProtocolOptions{6, false}, 90, 17);
+    auto flat_net = bootstrap::make_random(ProtocolSpec::newscast(),
+                                           ProtocolOptions{6, false}, 90, 17);
+    LegacyEventEngine legacy(legacy_net, cfg);
+    EventEngine flat(flat_net, cfg);
+    auto both = [&](auto&& step) {
+      step(legacy_net);
+      step(flat_net);
+    };
+
+    legacy.run_until(4.0);
+    flat.run_until(4.0);
+    both([](Network& net) {
+      for (NodeId id = 10; id < 25; ++id) net.kill(id);
+    });
+    legacy.run_until(8.25);
+    flat.run_until(8.25);
+    both([](Network& net) {
+      for (NodeId id = 10; id < 15; ++id) net.revive(id);
+      net.add_nodes(12);
+      seed_late_joiners(net, 12);
+    });
+    legacy.run_until(12.5);
+    flat.run_until(12.5);
+    both([](Network& net) {
+      net.add_nodes(7);
+      seed_late_joiners(net, 7);
+    });
+    legacy.run_until(18.0);
+    flat.run_until(18.0);
+
+    EXPECT_GT(legacy.stats().messages_dropped, 0u);
+    EXPECT_GT(legacy.stats().messages_to_dead, 0u);
+    expect_stats_equal(legacy.stats(), flat.stats());
+    expect_networks_equal(legacy_net, flat_net);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "trace divergence at latency [" << regime.min_latency << ", "
+             << regime.max_latency << "]";
+    }
+  }
 }
 
 TEST(EventEngineTraceEquivalence, NetworkPartitions) {

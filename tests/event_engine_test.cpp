@@ -153,5 +153,22 @@ TEST(EventEngine, TimeAdvancesMonotonically) {
   EXPECT_DOUBLE_EQ(engine.now(), 4.5);
 }
 
+TEST(EventEngine, RefusesARunTargetInThePast) {
+  // Time never runs backwards: a node added after the refused call still
+  // gets a phase at or after the events already handled.
+  auto net = bootstrap::make_random(ProtocolSpec::newscast(),
+                                    ProtocolOptions{5, false}, 10, 12);
+  EventEngine engine(net, fast_config());
+  engine.run_until(3.0);
+  const std::uint64_t wakeups = engine.stats().wakeups;
+  const std::size_t queued = engine.queued_events();
+  EXPECT_THROW(engine.run_until(1.5), std::logic_error);
+  EXPECT_DOUBLE_EQ(engine.now(), 3.0);
+  EXPECT_EQ(engine.stats().wakeups, wakeups);
+  EXPECT_EQ(engine.queued_events(), queued);
+  engine.run_until(4.0);
+  EXPECT_DOUBLE_EQ(engine.now(), 4.0);
+}
+
 }  // namespace
 }  // namespace pss::sim

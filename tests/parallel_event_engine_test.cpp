@@ -97,6 +97,64 @@ TEST(ParallelEventEngineDeterministic, LossTimeoutsKillsAndLateJoiners) {
   EXPECT_EQ(scenarios::state_digest(ref_net), scenarios::state_digest(par_net));
 }
 
+TEST(ParallelEventEngineDeterministic, LatencyRegimesWithLossKillsAndLateJoiners) {
+  // Zero delay, the default band, and messages slower than a period (the
+  // window is min_latency wide, and the calendar's year follows
+  // max_latency), each under loss, kills, revivals and two batches of late
+  // joiners, at 1, 2 and 4 lanes.
+  struct Regime {
+    double min_latency;
+    double max_latency;
+  };
+  for (const Regime regime : {Regime{0.0, 0.0}, Regime{0.01, 0.1},
+                              Regime{0.3, 2.5}}) {
+    auto cfg = async_config();
+    cfg.min_latency = regime.min_latency;
+    cfg.max_latency = regime.max_latency;
+    cfg.drop_probability = 0.2;
+    cfg.reply_timeout = 1.5;
+    auto script = [](Network& net, auto& engine) {
+      engine.run_until(4.0);
+      for (NodeId id = 10; id < 25; ++id) net.kill(id);
+      engine.run_until(8.25);
+      for (NodeId id = 10; id < 15; ++id) net.revive(id);
+      net.add_nodes(12);
+      engine.run_until(12.5);
+      net.add_nodes(7);
+      engine.run_until(18.0);
+    };
+    auto ref_net = bootstrap::make_random(ProtocolSpec::newscast(),
+                                          ProtocolOptions{6, false}, 90, 17);
+    EventEngine ref(ref_net, cfg);
+    script(ref_net, ref);
+    EXPECT_GT(ref.stats().messages_dropped, 0u);
+    EXPECT_GT(ref.stats().messages_to_dead, 0u);
+    for (unsigned threads : {1u, 2u, 4u}) {
+      auto net = bootstrap::make_random(ProtocolSpec::newscast(),
+                                        ProtocolOptions{6, false}, 90, 17);
+      ParallelEventEngine par(net, cfg, threads);
+      script(net, par);
+      expect_stats_equal(ref.stats(), par.stats());
+      EXPECT_EQ(scenarios::state_digest(ref_net), scenarios::state_digest(net))
+          << "latency [" << regime.min_latency << ", " << regime.max_latency
+          << "] diverged at " << threads << " threads";
+    }
+  }
+}
+
+TEST(ParallelEventEngine, RefusesARunTargetInThePast) {
+  auto net = bootstrap::make_random(ProtocolSpec::newscast(),
+                                    ProtocolOptions{8, false}, 40, 12);
+  ParallelEventEngine par(net, async_config(), 2);
+  par.run_until(3.0);
+  const std::uint64_t wakeups = par.stats().wakeups;
+  EXPECT_THROW(par.run_until(1.5), std::logic_error);
+  EXPECT_DOUBLE_EQ(par.now(), 3.0);
+  EXPECT_EQ(par.stats().wakeups, wakeups);
+  par.run_until(3.0);  // an equal target is a no-op
+  EXPECT_DOUBLE_EQ(par.now(), 3.0);
+}
+
 TEST(ParallelEventEngineDeterministic, ZeroLatencyDegradesToSequential) {
   // min_latency == 0 empties the safe horizon: every window holds one
   // event and the engine must still be exactly the sequential run.

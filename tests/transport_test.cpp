@@ -6,6 +6,7 @@
 //     for (reorder, duplication) plus loss and churn, the protocol
 //     invariants and the wire accounting still hold.
 //   ServiceNodeUnit       — driver mechanics in isolation.
+//   LoopbackDriver        — the event loop's own preconditions.
 //   ServiceNodeWorkspace  — the per-thread exchange workspace is shared
 //     safely across drivers of different view sizes, and a node stays small.
 //   LoopbackTransport     — backend queue semantics.
@@ -503,6 +504,22 @@ TEST(ServiceNodeUnit, ReplyFromUnaskedPeerIsStale) {
   EXPECT_EQ(node.stats().replies_delivered, 1u);
   EXPECT_TRUE(holds_77());
   EXPECT_FALSE(node.pending().active);
+}
+
+TEST(LoopbackDriver, RefusesARunTargetInThePast) {
+  ProtocolOptions options;
+  options.view_size = 6;
+  Network net = sim::bootstrap::make_random(ProtocolSpec::newscast(), options,
+                                            30, 0xD1FF0009);
+  LoopbackTransport bus({}, net.rng());
+  LoopbackDriver driver(net, bus);
+  driver.run_until(3.0);
+  const std::uint64_t wakeups = driver.engine_stats().wakeups;
+  EXPECT_THROW(driver.run_until(1.5), std::logic_error);
+  EXPECT_DOUBLE_EQ(driver.now(), 3.0);
+  EXPECT_EQ(driver.engine_stats().wakeups, wakeups);
+  driver.run_until(3.0);  // an equal target is a no-op
+  EXPECT_DOUBLE_EQ(driver.now(), 3.0);
 }
 
 TEST(LoopbackTransport, DeliversInAtSeqOrder) {
