@@ -1,12 +1,15 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: view merge and
 // selection (object-graph and fused flat variants), a full pushpull
 // exchange, scheduler schedule/pop (event queue, calendar queue, binary
-// heap), one simulation cycle at several network sizes, graph snapshot
-// construction and the metric estimators, and the streaming census's
-// rebuild and estimators. These bound the cost of the experiment harness and catch
-// performance regressions in the exchange and measurement paths.
+// heap, the loopback bus), one simulation cycle at several network
+// sizes, graph snapshot construction and the metric estimators, and the
+// streaming census's rebuild and estimators. These bound the cost of the
+// experiment harness and catch performance regressions in the exchange
+// and measurement paths.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <limits>
 #include <queue>
 #include <utility>
@@ -22,6 +25,8 @@
 #include "pss/sim/calendar_queue.hpp"
 #include "pss/sim/cycle_engine.hpp"
 #include "pss/sim/event_queue.hpp"
+#include "pss/transport/loopback_transport.hpp"
+#include "pss/transport/wire.hpp"
 
 namespace {
 
@@ -289,6 +294,40 @@ void BM_EventQueueHold(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EventQueueHold)->Arg(1 << 10)->Arg(1 << 17)->Arg(1 << 20);
+
+void BM_LoopbackBusHold(benchmark::State& state) {
+  // The loopback bus as LoopbackDriver drives it, with `n` frames in
+  // flight at +U[0.01, 0.1]: each step pops the earliest frame, prefetches
+  // the calendar's hinted next one, reads its bytes as a decode does,
+  // frees its slot and sends a c = 30 request (276 bytes) in its place,
+  // through the send path's delay draw, slot copy and calendar push. ns
+  // per frame sent and delivered.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(17);
+  transport::LoopbackTransport bus({0.01, 0.1}, rng);
+  std::vector<std::byte> frame(transport::WireCodec::frame_bytes(31));
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    frame[i] = static_cast<std::byte>(i);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    bus.send(static_cast<NodeId>(i % 1024), frame);
+  }
+  auto& queue = bus.queue();
+  const double forever = std::numeric_limits<double>::infinity();
+  std::array<std::byte, transport::WireCodec::frame_bytes(31)> read{};
+  for (auto _ : state) {
+    const auto* e = queue.pop_if_at_most(forever);
+    bus.set_now(e->at);
+    if (const auto* hint = queue.message_hint()) bus.prefetch(hint->value);
+    const auto bytes = bus.bytes(e->message);
+    std::copy(bytes.begin(), bytes.end(), read.begin());
+    bus.release(e->message);
+    bus.send(e->message.to, frame);
+    benchmark::DoNotOptimize(read);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LoopbackBusHold)->Arg(1 << 10)->Arg(1 << 17);
 
 void BM_BinaryHeapHold(benchmark::State& state) {
   using Entry = std::pair<double, std::uint64_t>;

@@ -30,13 +30,16 @@
 // Knobs (see docs/PERFORMANCE.md):
 //   PSS_ASYNC_NS      comma-separated network sizes (default 10000,100000,1000000)
 //   PSS_ASYNC_THREADS comma-separated parallel-engine lane counts (default 1,2,4)
-//   PSS_PERIODS       measured periods per run            (default 20)
+//   PSS_PERIODS       measured periods per run (default max(20, ⌈2·10^6/n⌉):
+//                     every cell times at least 2·10^6 node wake-ups, so the
+//                     small-n cells measure more than noise)
 //   PSS_WARMUP        warm-up periods before measuring    (default 5)
 //   PSS_C             view size c                         (default 30)
 //   PSS_SEED          master seed                         (default 42)
 //   PSS_DROP          message drop probability            (default 0)
 //   PSS_ASYNC_LEGACY  "auto" (n <= 1e5), "1" (always), "0" (never)
 //   PSS_ASYNC_JSON    output path                         (default BENCH_async.json)
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -127,6 +130,7 @@ std::uint64_t events_processed(const pss::sim::EventEngineStats& s) {
 /// entry, legacy baseline}.
 struct RunResult {
   std::size_t n = 0;
+  std::size_t periods = 0;  ///< measured periods
   std::string engine;    ///< "flat", "parallel", "legacy"
   unsigned threads = 0;  ///< 0 for the sequential engines
   double setup_seconds = 0;
@@ -151,8 +155,7 @@ struct RunResult {
 template <typename Engine, typename Harvest, typename... EngineArgs>
 void run_cell(RunResult& r, const pss::ProtocolSpec& spec, std::size_t c,
               std::uint64_t seed, pss::sim::EventEngineConfig cfg,
-              std::size_t warmup, std::size_t periods, Harvest&& harvest,
-              EngineArgs&&... args) {
+              std::size_t warmup, Harvest&& harvest, EngineArgs&&... args) {
   using namespace pss;
   const auto t_setup = Clock::now();
   sim::Network net(spec, ProtocolOptions{c, false}, seed);
@@ -167,7 +170,7 @@ void run_cell(RunResult& r, const pss::ProtocolSpec& spec, std::size_t c,
   const std::uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
   const auto t_run = Clock::now();
-  engine.run_cycles(periods);
+  engine.run_cycles(r.periods);
   r.run_seconds = seconds_since(t_run);
   r.steady_allocations =
       g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
@@ -200,7 +203,17 @@ int main() {
                   "PSS_ASYNC_NS");
   const auto ladder = parse_sizes(
       env::get("PSS_ASYNC_THREADS").value_or("1,2,4"), "PSS_ASYNC_THREADS");
-  const auto periods = static_cast<std::size_t>(env::get_int("PSS_PERIODS", 20));
+  // Without PSS_PERIODS, a cell measures max(20, ⌈kCellWakeups / n⌉)
+  // periods; with it, every cell measures that many.
+  constexpr std::size_t kMinPeriods = 20;
+  constexpr std::size_t kCellWakeups = 2'000'000;
+  const bool fixed_periods = env::get("PSS_PERIODS").has_value();
+  const auto periods = static_cast<std::size_t>(
+      env::get_int("PSS_PERIODS", static_cast<std::int64_t>(kMinPeriods)));
+  const std::size_t cell_wakeups = fixed_periods ? 0 : kCellWakeups;
+  auto periods_for = [&](std::size_t n) {
+    return std::max(periods, (cell_wakeups + n - 1) / n);
+  };
   const auto warmup = static_cast<std::size_t>(env::get_int("PSS_WARMUP", 5));
   const auto c = static_cast<std::size_t>(env::get_int("PSS_C", 30));
   const auto seed = static_cast<std::uint64_t>(env::get_int("PSS_SEED", 42));
@@ -217,9 +230,9 @@ int main() {
   std::vector<RunResult> results;
   bool digest_ok = true;
   std::printf(
-      "scale_async: spec=%s c=%zu periods=%zu warmup=%zu drop=%.2f seed=%llu "
-      "threads={",
-      spec.name().c_str(), c, periods, warmup, drop,
+      "scale_async: spec=%s c=%zu periods>=%zu cell_wakeups>=%zu warmup=%zu "
+      "drop=%.2f seed=%llu threads={",
+      spec.name().c_str(), c, periods, cell_wakeups, warmup, drop,
       static_cast<unsigned long long>(seed));
   for (std::size_t i = 0; i < ladder.size(); ++i) {
     std::printf("%s%zu", i ? "," : "", ladder[i]);
@@ -230,10 +243,10 @@ int main() {
   for (const std::size_t n : sizes) {
     RunResult seq;
     seq.n = n;
+    seq.periods = periods_for(n);
     seq.engine = "flat";
     seq.gated = true;
-    run_cell<sim::EventEngine>(seq, spec, c, seed, cfg, warmup, periods,
-                               no_harvest);
+    run_cell<sim::EventEngine>(seq, spec, c, seed, cfg, warmup, no_harvest);
     const std::uint64_t reference_digest = seq.digest;
     std::printf(
         "  n=%-8zu flat               setup=%6.2fs run=%6.2fs %10.0f ev/s  "
@@ -247,11 +260,12 @@ int main() {
     for (const std::size_t threads : ladder) {
       RunResult par;
       par.n = n;
+      par.periods = seq.periods;
       par.engine = "parallel";
       par.threads = static_cast<unsigned>(threads);
       par.gated = true;
       run_cell<sim::ParallelEventEngine>(
-          par, spec, c, seed, cfg, warmup, periods,
+          par, spec, c, seed, cfg, warmup,
           [&par](const sim::ParallelEventEngine& e) {
             par.windows = e.windows();
             par.deferred_tasks = e.deferred_tasks();
@@ -289,9 +303,10 @@ int main() {
     if (run_legacy) {
       RunResult legacy;
       legacy.n = n;
+      legacy.periods = seq.periods;
       legacy.engine = "legacy";
       run_cell<sim::LegacyEventEngine>(legacy, spec, c, seed, cfg, warmup,
-                                       periods, no_harvest);
+                                       no_harvest);
       legacy.digest = 0;  // outside the gate: frozen baseline, own arena
       // Speedup of the fastest measured flat/parallel cell at this n.
       double best = 0;
@@ -309,13 +324,14 @@ int main() {
 
   const std::string spec_name = spec.name();
   obs::RunRecorder rec(
-      "scale_async", 2,
+      "scale_async", 3,
       bench::make_run_metadata("scale_async", "event", spec_name,
                                bench::protocol_wire_id(spec), sizes.back(), c,
-                               periods, seed));
+                               periods_for(sizes.back()), seed));
   rec.json().key("params");
   rec.json().begin_object();
   rec.json().field("periods", static_cast<std::uint64_t>(periods));
+  rec.json().field("cell_wakeups", static_cast<std::uint64_t>(cell_wakeups));
   rec.json().field("warmup_periods", static_cast<std::uint64_t>(warmup));
   rec.json().field("drop_probability", drop);
   rec.json().end_object();
@@ -324,6 +340,7 @@ int main() {
   for (const RunResult& r : results) {
     rec.json().begin_object();
     rec.json().field("n", static_cast<std::uint64_t>(r.n));
+    rec.json().field("periods", static_cast<std::uint64_t>(r.periods));
     rec.json().field("engine", r.engine);
     rec.json().field("threads", r.threads);
     rec.json().field("setup_seconds", r.setup_seconds);

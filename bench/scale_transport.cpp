@@ -10,7 +10,9 @@
 //
 // Phase 2 measures what the seam costs: exchanges/s for EventEngine vs
 // the same workload over encode -> loopback queue -> decode, at the sizes
-// in PSS_TRANS_NS (default 1000,10000).
+// in PSS_TRANS_NS (default 1000,10000). Each size runs
+// max(20, ⌈2·10^6/n⌉) cycles, so every row times at least 2·10^6
+// exchanges; PSS_TRANS_CYCLES fixes one count for both phases instead.
 //
 // Phase 3 leaves the simulator entirely: standalone ServiceNodes gossip
 // over nonblocking UDP sockets on localhost, many nodes per socket
@@ -91,6 +93,7 @@ struct DiffCheck {
 
 struct LoopbackRow {
   std::size_t n = 0;
+  std::size_t cycles = 0;
   std::uint64_t exchanges = 0;
   double engine_seconds = 0;
   double transport_seconds = 0;
@@ -159,8 +162,16 @@ bool stats_equal(const sim::EventEngineStats& a,
 int main() {
   const auto sizes = parse_sizes(
       env::get("PSS_TRANS_NS").value_or("1000,10000"), "PSS_TRANS_NS");
+  // Phase 1 runs `cycles`; phase 2 runs cycles_for(n), at least
+  // kRowExchanges per row unless PSS_TRANS_CYCLES fixes the count.
+  constexpr std::size_t kRowExchanges = 2'000'000;
+  const bool fixed_cycles = env::get("PSS_TRANS_CYCLES").has_value();
   const auto cycles =
       static_cast<std::size_t>(env::get_int("PSS_TRANS_CYCLES", 20));
+  const std::size_t row_exchanges = fixed_cycles ? 0 : kRowExchanges;
+  auto cycles_for = [&](std::size_t n) {
+    return std::max(cycles, (row_exchanges + n - 1) / n);
+  };
   const auto udp_sizes = parse_sizes(
       env::get("PSS_TRANS_UDP_NS").value_or("1000"), "PSS_TRANS_UDP_NS");
   const auto udp_cycles =
@@ -229,13 +240,15 @@ int main() {
   const sim::EventEngineConfig jitter;  // engine defaults
   for (const std::size_t n : sizes) {
     const ProtocolSpec spec = ProtocolSpec::newscast();
+    const std::size_t row_cycles = cycles_for(n);
     const TransportRun engine =
-        run_engine(spec, options, n, seed, cycles, jitter);
+        run_engine(spec, options, n, seed, row_cycles, jitter);
     const TransportRun loopback =
-        run_loopback(spec, options, n, seed, cycles, jitter);
+        run_loopback(spec, options, n, seed, row_cycles, jitter);
     gate("loopback-scale/n=" + std::to_string(n), engine, loopback);
     LoopbackRow row;
     row.n = n;
+    row.cycles = row_cycles;
     row.exchanges = engine.stats.wakeups;
     row.engine_seconds = engine.seconds;
     row.transport_seconds = loopback.seconds;
@@ -338,13 +351,15 @@ int main() {
   const ProtocolSpec meta_spec = ProtocolSpec::newscast();
   const std::string spec_name = meta_spec.name();
   obs::RunRecorder rec(
-      "scale_transport", 1,
+      "scale_transport", 2,
       bench::make_run_metadata("scale_transport", "service", spec_name,
                                bench::protocol_wire_id(meta_spec),
                                sizes.back(), c, cycles, seed));
   rec.json().key("params");
   rec.json().begin_object();
   rec.json().field("differential_n", static_cast<std::uint64_t>(dn));
+  rec.json().field("row_exchanges",
+                   static_cast<std::uint64_t>(row_exchanges));
   rec.json().field("udp_cycles", static_cast<std::uint64_t>(udp_cycles));
   rec.json().end_object();
   rec.json().key("differential");
@@ -365,6 +380,7 @@ int main() {
   for (const LoopbackRow& r : loopback_rows) {
     rec.json().begin_object();
     rec.json().field("n", static_cast<std::uint64_t>(r.n));
+    rec.json().field("cycles", static_cast<std::uint64_t>(r.cycles));
     rec.json().field("exchanges", r.exchanges);
     rec.json().field("engine_seconds", r.engine_seconds);
     rec.json().field("transport_seconds", r.transport_seconds);

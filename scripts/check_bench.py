@@ -62,6 +62,9 @@ REGISTRY = {
     },
     "pss.bench.scale_async": {
         2: {"sections": ["params", "runs"], "gates": ["digest"]},
+        # v3: measured periods scale with 1/n (params.cell_wakeups) and
+        # every run records its own.
+        3: {"sections": ["params", "runs"], "gates": ["digest"]},
     },
     "pss.bench.scale_parallel": {
         2: {"sections": ["runs"],
@@ -73,6 +76,10 @@ REGISTRY = {
     },
     "pss.bench.scale_transport": {
         1: {"sections": ["params", "differential", "loopback", "udp"],
+            "gates": ["differential"]},
+        # v2: loopback rows scale their cycles with 1/n
+        # (params.row_exchanges) and record them.
+        2: {"sections": ["params", "differential", "loopback", "udp"],
             "gates": ["differential"]},
     },
     "pss.bench.scale_trace": {

@@ -4,12 +4,6 @@
 
 namespace pss::sim {
 
-namespace {
-// Wake-ups this many places ahead in the ring are prefetched: the ring is
-// the exact order in which wake-ups pop.
-constexpr std::size_t kWakeLookahead = 8;
-}  // namespace
-
 EventEngine::EventEngine(Network& network, EventEngineConfig config)
     : network_(&network),
       config_(config),
@@ -146,7 +140,8 @@ void EventEngine::advance_to(double until) {
     // most of that latency (same trick as CycleEngine's lookahead). The
     // ring names the coming wake-ups exactly; for messages the calendar's
     // scan-free hint is good enough for a prefetch.
-    const NodeId waking = queue_.wakeup_ahead(kWakeLookahead);
+    const NodeId waking =
+        queue_.wakeup_ahead(EventQueue<Message>::kPrefetchAhead);
     if (waking != kInvalidNode) {
       arena.prefetch_node(waking);
 #if defined(__GNUC__) || defined(__clang__)

@@ -1,11 +1,12 @@
-// Index-based calendar queue: the event engines' message scheduler
-// (EventQueue, event_queue.hpp, keeps their periodic wake-ups in a ring
-// beside it) and LoopbackDriver's timer queue.
+// Index-based calendar queue: the message scheduler inside EventQueue
+// (event_queue.hpp), which keeps the periodic wake-ups in a ring beside
+// it. The event engines queue their messages there, and LoopbackTransport
+// its wire frames.
 //
 // A binary heap makes every schedule/pop O(log n) with n random touches of
 // a multi-megabyte array; at 10^5-10^6 nodes the in-flight messages alone
-// number about a tenth of the network (and LoopbackDriver's timers all of
-// it), so the heap becomes a per-event cache-miss tax. A calendar queue
+// number about a tenth of the network, so the heap becomes a per-event
+// cache-miss tax. A calendar queue
 // (Brown, CACM 1988) exploits what a discrete-event gossip simulation
 // actually looks like: timestamps are dense, near-future, and advance
 // monotonically. Time is divided into fixed-width buckets laid out
@@ -56,9 +57,8 @@ class CalendarQueue {
   /// `year_span` is the stretch of simulated time mapped across the whole
   /// bucket array; width = year_span / bucket_count. Choose it around the
   /// natural event horizon (EventQueue uses twice the largest message
-  /// latency, LoopbackDriver two periods for its timers) so one lap of the
-  /// calendar covers the pending set without crowding it into a few
-  /// buckets.
+  /// latency) so one lap of the calendar covers the pending set without
+  /// crowding it into a few buckets.
   explicit CalendarQueue(double year_span, std::size_t min_buckets = 16)
       : year_span_(year_span), min_buckets_(ceil_pow2(min_buckets)) {
     PSS_CHECK_MSG(year_span_ > 0, "calendar year span must be positive");

@@ -1,6 +1,8 @@
 // The asynchronous engines' event queue: periodic wake-ups in a FIFO ring,
 // in-flight messages in a calendar queue, popped as one stream in
-// (at, seq) order.
+// (at, seq) order. EventEngine and ParallelEventEngine queue their engine
+// messages here; LoopbackTransport queues its wire frames here, and the
+// LoopbackDriver that runs it keeps the node timers on the same ring.
 //
 // Every node's active thread wakes once per period T (the skeleton's
 // wait(T)), so wake-ups need no priority queue:
@@ -11,14 +13,18 @@
 //     of first wake-ups is sorted and merged into the ring once.
 // The calendar then holds only messages: about 0.11 n at the default
 // latency instead of n + 0.11 n. pop_if_at_most takes whichever of the
-// ring's head and the calendar's minimum is smaller by (at, seq) — the
-// merge LoopbackDriver runs over its timers and its frames — so the
+// ring's head and the calendar's minimum is smaller by (at, seq), so the
 // popped sequence is exactly a single calendar's. seq is unique: the
 // queue hands out one counter to both sides.
 //
 // The calendar's year spans twice the message horizon (2 max_latency, or
 // 2 T for zero-latency messages), so in-flight messages spread over about
 // half of its buckets whatever the period.
+//
+// The ring also names the coming wake-ups exactly (wakeup_ahead), and the
+// calendar offers a scan-free guess at the next message (message_hint):
+// the drivers prefetch what those events will touch while the current one
+// is handled.
 #pragma once
 
 #include <algorithm>
@@ -52,8 +58,15 @@ class EventQueue {
       : messages_(max_latency > 0 ? 2.0 * max_latency
                                   : 2.0 * (period > 0 ? period : 1.0)) {}
 
+  /// How far ahead of the ring's head the drivers prefetch a wake-up's
+  /// node (see wakeup_ahead).
+  static constexpr std::size_t kPrefetchAhead = 8;
+
   /// Wake-ups plus in-flight messages.
   std::size_t size() const { return wakes_ + messages_.size(); }
+
+  /// In-flight messages alone.
+  std::size_t message_count() const { return messages_.size(); }
 
   /// Schedules `message` at `at` (>= the last popped time) under the next
   /// seq.

@@ -4,17 +4,21 @@
 // and a LoopbackTransport — the bridge that makes EventEngine the wire
 // stack's reference semantics.
 //
-// The driver merge-pops two queues — its own periodic node timers (a
-// sim::CalendarQueue) and the bus's in-flight frames — by (at, seq), with
-// every seq drawn from the bus's single counter
-// (LoopbackTransport::allocate_seq). That recreates EventEngine's one
-// totally-ordered event stream (EventEngine merges its wake-up ring with
-// its message calendar the same way; see sim/event_queue.hpp), and the
-// handlers fire in EventEngine's exact statement order:
+// The driver runs on the bus's own sim::EventQueue (event_queue.hpp): its
+// periodic node timers wait in the queue's FIFO wake-up ring, the bus's
+// frames in its calendar, and every seq comes from the queue's one
+// counter. So the driver pops EventEngine's one totally-ordered event
+// stream exactly as EventEngine::advance_to does, and the handlers fire in
+// EventEngine's exact statement order:
 //
 //   timer due   -> rearm first (seq!), then liveness gate, then on_tick
 //   frame due   -> decode, liveness/partition gate (messages_to_dead),
 //                  then on_frame
+//
+// While one event is handled, the driver prefetches what the coming ones
+// will touch, as EventEngine does: the arena slot and ServiceNode of the
+// wake-up kPrefetchAhead places ahead in the ring, and the bytes, arena
+// slot and ServiceNode of the calendar's hinted frame.
 //
 // Because LoopbackTransport also mirrors the engine's master-Rng draw
 // pattern per message (see loopback_transport.hpp), a run under any
@@ -29,7 +33,6 @@
 #include <deque>
 
 #include "pss/common/types.hpp"
-#include "pss/sim/calendar_queue.hpp"
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/network.hpp"
 #include "pss/transport/loopback_transport.hpp"
@@ -45,12 +48,13 @@ struct LoopbackDriverConfig {
 
 class LoopbackDriver {
  public:
-  /// `network` and `bus` must outlive the driver. For differential runs
-  /// against EventEngine, `bus` must draw from network.rng() so the master
-  /// stream is shared. Nodes present at construction get their initial
-  /// wake-up phases immediately (uniform in [0, period), id order — the
-  /// engine's schedule_new_nodes discipline); later additions are picked
-  /// up by the next run_* call.
+  /// `network` and `bus` must outlive the driver, and the driver must be
+  /// the only one running `bus`. For differential runs against EventEngine,
+  /// `bus` must draw from network.rng() so the master stream is shared.
+  /// Nodes present at construction get their initial wake-up phases
+  /// immediately (uniform in [0, period), id order — the engine's
+  /// schedule_new_nodes discipline); later additions are picked up by the
+  /// next run_* call.
   LoopbackDriver(sim::Network& network, LoopbackTransport& bus,
                  LoopbackDriverConfig config = {});
 
@@ -71,7 +75,9 @@ class LoopbackDriver {
   /// calls on_tick/on_frame (the only calls that move them).
   sim::EventEngineStats engine_stats() const;
 
-  const ServiceNode& node(NodeId id) const { return nodes_[id]; }
+  /// The ServiceNode of `id`. Nodes added to the network get theirs at the
+  /// next run_* call; an id without one throws std::logic_error.
+  const ServiceNode& node(NodeId id) const;
   std::uint64_t rejected_frames() const { return rejected_frames_; }
 
   /// Forwards the causal-tracing hook to every ServiceNode, present and
@@ -86,13 +92,14 @@ class LoopbackDriver {
  private:
   void schedule_new_nodes();
   void advance_to(double until);
+  void on_wakeup(NodeId id);
+  void on_frame(const LoopbackTransport::Frame& queued);
 
   sim::Network* network_;
   LoopbackTransport* bus_;
   LoopbackDriverConfig config_;
   std::deque<ServiceNode> nodes_;  ///< deque: stable addresses across growth
   sim::TraceProbe* trace_ = nullptr;  ///< forwarded to nodes on creation
-  sim::CalendarQueue<NodeId> timers_;  ///< node wake-ups by (at, seq)
   WireCodec codec_;
   double now_ = 0.0;
   std::uint64_t messages_to_dead_ = 0;

@@ -75,8 +75,9 @@ struct WireFrame {
   flat::DescSpan entries;
 };
 
-// Decode output: `entries` points into codec-owned storage and is valid
-// until the next decode() on the same codec.
+// Decode output: `entries` points into the decoding thread's record
+// buffer and is valid until the next decode() on the same thread, by any
+// codec.
 struct ParsedFrame {
   FrameType type = FrameType::kRequest;
   ProtocolSpec spec;
@@ -93,10 +94,12 @@ struct ParsedFrame {
 std::uint8_t encode_protocol(const ProtocolSpec& spec);
 bool decode_protocol(std::uint8_t id, ProtocolSpec& out);
 
-// One codec per node (or per driver thread): decode reuses internal
-// buffers, so parsed entry spans are invalidated by the next decode and
-// the codec is not thread-safe. decode checks the records in one pass; its
-// duplicate-address table is one per thread, shared by every codec there.
+// A codec holds only its capacity, so one per node costs 8 bytes. decode
+// checks the records in one pass and owns no heap: it writes them into one
+// record buffer per thread, beside its duplicate-address table, both
+// shared by every codec there. So a parsed frame's entries are invalidated
+// by the next decode on the same thread, whichever codec runs it, and
+// frames decoded on different threads never share storage.
 class WireCodec {
  public:
   static constexpr std::size_t kHeaderBytes = 28;
@@ -128,7 +131,6 @@ class WireCodec {
 
  private:
   std::size_t max_entries_;
-  std::vector<NodeDescriptor> entries_;
 };
 
 }  // namespace pss::transport

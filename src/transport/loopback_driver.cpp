@@ -1,5 +1,7 @@
 #include "pss/transport/loopback_driver.hpp"
 
+#include <cstdint>
+
 #include "pss/common/check.hpp"
 
 namespace pss::transport {
@@ -9,81 +11,109 @@ LoopbackDriver::LoopbackDriver(sim::Network& network, LoopbackTransport& bus,
     : network_(&network),
       bus_(&bus),
       config_(config),
-      // Every pending timer lies within one period ahead; a two-period
-      // year keeps them all inside one lap of the calendar.
-      timers_(2.0 * (config.period > 0 ? config.period : 1.0)),
       codec_(network.options().view_size) {
   PSS_CHECK_MSG(config.period > 0 && config.reply_timeout > 0,
                 "LoopbackDriver: period and reply_timeout must be positive");
   schedule_new_nodes();
 }
 
+const ServiceNode& LoopbackDriver::node(NodeId id) const {
+  PSS_CHECK_MSG(id < nodes_.size(),
+                "LoopbackDriver::node: no ServiceNode for this id yet");
+  return nodes_[id];
+}
+
 void LoopbackDriver::schedule_new_nodes() {
   // Mirror of EventEngine::schedule_new_nodes: each new node draws its
   // phase from the master Rng in id order and takes the next seq.
   const std::size_t n = network_->size();
-  while (scheduled_nodes_ < n) {
-    const NodeId id = static_cast<NodeId>(scheduled_nodes_++);
+  if (scheduled_nodes_ >= n) return;
+  for (std::size_t i = scheduled_nodes_; i < n; ++i) {
+    const NodeId id = static_cast<NodeId>(i);
     nodes_.emplace_back(network_->arena(), id, id, network_->spec(),
                         network_->options(), *bus_,
                         ServiceNodeConfig{config_.period,
                                           config_.reply_timeout});
     if (trace_ != nullptr) nodes_.back().attach_trace(*trace_);
-    const double at = now_ + network_->rng().uniform() * config_.period;
-    timers_.push(at, bus_->allocate_seq(), id);
   }
+  Rng& rng = network_->rng();
+  bus_->queue().add_first_wakeups(
+      static_cast<NodeId>(scheduled_nodes_), n - scheduled_nodes_,
+      [&](NodeId) { return now_ + rng.uniform() * config_.period; });
+  scheduled_nodes_ = n;
+}
+
+void LoopbackDriver::on_wakeup(NodeId id) {
+  // Rearm before handling so the rearm takes its seq ahead of the request
+  // — EventEngine::on_wakeup's event order.
+  bus_->queue().rearm(now_ + config_.period, id);
+  if (!network_->is_live(id)) return;
+  ServiceNode& target = nodes_[id];
+  const std::uint64_t stale = target.stats().replies_stale;
+  target.on_tick(now_);
+  ++wakeups_;
+  replies_stale_ += target.stats().replies_stale - stale;
+}
+
+void LoopbackDriver::on_frame(const LoopbackTransport::Frame& queued) {
+  ParsedFrame frame;
+  const WireError error = codec_.decode(bus_->bytes(queued), frame);
+  // The decoded records live in the thread's record buffer, so the slot is
+  // free before the handler runs, and a reply it sends takes it warm.
+  bus_->release(queued);
+  if (error != WireError::kOk) {
+    ++rejected_frames_;  // only injectable via raw bus sends
+    return;
+  }
+  if (!network_->is_live(frame.to) ||
+      !network_->can_communicate(frame.from, frame.to)) {
+    ++messages_to_dead_;
+    return;
+  }
+  ServiceNode& target = nodes_[frame.to];
+  const ServiceNodeStats& st = target.stats();
+  const std::uint64_t delivered = st.replies_delivered;
+  const std::uint64_t stale = st.replies_stale;
+  target.on_frame(frame, now_);
+  replies_delivered_ += st.replies_delivered - delivered;
+  replies_stale_ += st.replies_stale - stale;
 }
 
 void LoopbackDriver::advance_to(double until) {
   PSS_CHECK_MSG(until >= now_, "run target lies before now()");
   schedule_new_nodes();
-  for (;;) {
-    const auto frame_next = bus_->next_event();
-    const bool have_timer = !timers_.empty();
-    const bool have_frame = frame_next.has_value();
-    if (!have_timer && !have_frame) break;
-    // Merge-pop the two queues by (at, seq): one strict total order, the
-    // engine's calendar discipline split across timers and wire.
-    const auto* timer = have_timer ? &timers_.top() : nullptr;
-    const bool timer_first =
-        have_timer &&
-        (!have_frame || timer->at < frame_next->first ||
-         (timer->at == frame_next->first && timer->seq < frame_next->second));
-    const double at = timer_first ? timer->at : frame_next->first;
-    if (at > until) break;
-    now_ = at;
-    bus_->set_now(at);
-    if (timer_first) {
-      const NodeId node = timers_.pop().value;
-      // Rearm before handling so the rearm takes its seq ahead of the
-      // request — EventEngine::on_wakeup's event order.
-      timers_.push(now_ + config_.period, bus_->allocate_seq(), node);
-      if (!network_->is_live(node)) continue;
-      ServiceNode& target = nodes_[node];
-      const std::uint64_t stale = target.stats().replies_stale;
-      target.on_tick(now_);
-      ++wakeups_;
-      replies_stale_ += target.stats().replies_stale - stale;
+  LoopbackTransport::Queue& queue = bus_->queue();
+  const flat::NodeArena& arena = network_->arena();
+  while (const auto* e = queue.pop_if_at_most(until)) {
+    now_ = e->at;
+    bus_->set_now(now_);
+    // Warm what the coming events touch while this one is handled: the
+    // ring names the coming wake-ups exactly, and the calendar's hint is a
+    // guess at the next frame. A hinted `to` is whatever the sender
+    // addressed, so every id is bounds-checked before it indexes nodes_.
+    // The prefetches stay in this loop's body: the compiler may drop a
+    // call to a function that only prefetches.
+    const auto* hint = queue.message_hint();
+    if (hint != nullptr) bus_->prefetch(hint->value);
+    const NodeId ahead[] = {
+        queue.wakeup_ahead(LoopbackTransport::Queue::kPrefetchAhead),
+        hint != nullptr ? hint->value.to : kInvalidNode};
+    for (const NodeId id : ahead) {
+      if (id >= nodes_.size()) continue;
+      arena.prefetch_node(id);
+#if defined(__GNUC__) || defined(__clang__)
+      // Every line of the ServiceNode, which need not start on one.
+      const auto first = reinterpret_cast<std::uintptr_t>(&nodes_[id]);
+      for (std::uintptr_t line = first & ~std::uintptr_t{63};
+           line < first + sizeof(ServiceNode); line += 64) {
+        __builtin_prefetch(reinterpret_cast<const void*>(line), 1, 1);
+      }
+#endif
+    }
+    if (e->wakeup()) {
+      on_wakeup(e->node);
     } else {
-      bus_->poll_one([&](NodeId, std::span<const std::byte> bytes) {
-        ParsedFrame frame;
-        if (codec_.decode(bytes, frame) != WireError::kOk) {
-          ++rejected_frames_;  // only injectable via raw bus sends
-          return;
-        }
-        if (!network_->is_live(frame.to) ||
-            !network_->can_communicate(frame.from, frame.to)) {
-          ++messages_to_dead_;
-          return;
-        }
-        ServiceNode& target = nodes_[frame.to];
-        const ServiceNodeStats& st = target.stats();
-        const std::uint64_t delivered = st.replies_delivered;
-        const std::uint64_t stale = st.replies_stale;
-        target.on_frame(frame, now_);
-        replies_delivered_ += st.replies_delivered - delivered;
-        replies_stale_ += st.replies_stale - stale;
-      });
+      on_frame(e->message);
     }
   }
   now_ = until;

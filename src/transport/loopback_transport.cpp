@@ -7,7 +7,11 @@
 namespace pss::transport {
 
 LoopbackTransport::LoopbackTransport(LoopbackConfig config, Rng& rng)
-    : config_(config), rng_(&rng) {
+    : config_(config),
+      rng_(&rng),
+      // The bus does not know a driver's period; it only sizes the year
+      // for zero-delay frames, which all land at the current time.
+      queue_(/*period=*/1.0, config.max_delay) {
   PSS_CHECK_MSG(config.min_delay >= 0.0 && config.max_delay >= config.min_delay,
                 "LoopbackTransport: need 0 <= min_delay <= max_delay");
   PSS_CHECK_MSG(config.loss_probability >= 0.0 &&
@@ -46,47 +50,49 @@ bool LoopbackTransport::send(NodeId to, std::span<const std::byte> frame) {
 
 void LoopbackTransport::enqueue(NodeId to, std::span<const std::byte> frame,
                                 double delay) {
-  std::uint32_t buf;
-  if (!free_buffers_.empty()) {
-    buf = free_buffers_.back();
-    free_buffers_.pop_back();
-  } else {
-    buf = static_cast<std::uint32_t>(buffers_.size());
-    buffers_.emplace_back();
+  const std::uint32_t slot = store(frame);
+  queue_.push(now_ + delay,
+              Frame{to, slot, static_cast<std::uint32_t>(frame.size())});
+}
+
+std::uint32_t LoopbackTransport::store(std::span<const std::byte> frame) {
+  if (frame.size() > stride_) {
+    // Restride: every slot, queued or free, moves to the wider stride.
+    std::vector<std::byte> wider(slot_count_ * frame.size());
+    for (std::size_t s = 0; s < slot_count_; ++s) {
+      std::copy_n(slots_.data() + s * stride_, stride_,
+                  wider.data() + s * frame.size());
+    }
+    slots_ = std::move(wider);
+    stride_ = frame.size();
   }
-  buffers_[buf].assign(frame.begin(), frame.end());
-  queue_.push(InFlight{now_ + delay, next_seq_++, to, buf});
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = slot_count_++;
+    slots_.resize(slot_count_ * stride_);
+  }
+  std::copy(frame.begin(), frame.end(),
+            slots_.data() + std::size_t{slot} * stride_);
+  return slot;
 }
 
 std::size_t LoopbackTransport::poll(const FrameHandler& handler) {
+  PSS_CHECK_MSG(queue_.size() == queue_.message_count(),
+                "LoopbackTransport::poll: a driver runs this bus");
   std::size_t delivered = 0;
-  while (!queue_.empty() && queue_.top().at <= now_) {
-    deliver_head(handler);
+  while (const auto* e = queue_.pop_if_at_most(now_)) {
+    const Frame frame = e->message;
+    // A send from the handler may take the slot or move the array.
+    const std::span<const std::byte> view = bytes(frame);
+    delivery_.assign(view.begin(), view.end());
+    release(frame);
+    handler(frame.to, delivery_);
     ++delivered;
   }
   return delivered;
-}
-
-bool LoopbackTransport::poll_one(const FrameHandler& handler) {
-  if (queue_.empty() || queue_.top().at > now_) return false;
-  deliver_head(handler);
-  return true;
-}
-
-void LoopbackTransport::deliver_head(const FrameHandler& handler) {
-  const InFlight head = queue_.top();
-  queue_.pop();
-  ++stats_.frames_delivered;
-  // The buffer is recycled only after the handler returns; handlers must
-  // not retain the span (Transport contract).
-  handler(head.to, std::span<const std::byte>(buffers_[head.buffer]));
-  free_buffers_.push_back(head.buffer);
-}
-
-std::optional<std::pair<double, std::uint64_t>> LoopbackTransport::next_event()
-    const {
-  if (queue_.empty()) return std::nullopt;
-  return std::make_pair(queue_.top().at, queue_.top().seq);
 }
 
 }  // namespace pss::transport

@@ -96,13 +96,19 @@ class RecordAddressSet {
   std::uint32_t generation_ = 0;
 };
 
-// One set per thread, shared by every codec that decodes there (the
-// ServiceNode workspace pattern): a table per codec would add to every
-// node. It grows to the largest frame the thread has decoded.
-RecordAddressSet& record_addresses(std::size_t count) {
-  thread_local RecordAddressSet set;
-  set.reset(count);
-  return set;
+// decode's working memory, one per thread and shared by every codec that
+// decodes there (the ServiceNode workspace pattern): memory per codec would
+// add to every node. Both grow to the largest frame the thread decoded.
+struct DecodeWorkspace {
+  RecordAddressSet seen;                ///< the duplicate-address check
+  std::vector<NodeDescriptor> records;  ///< ParsedFrame::entries' storage
+};
+
+DecodeWorkspace& decode_workspace(std::size_t count) {
+  thread_local DecodeWorkspace ws;
+  ws.seen.reset(count);
+  if (ws.records.size() < count) ws.records.resize(count);
+  return ws;
 }
 
 }  // namespace
@@ -143,7 +149,6 @@ WireCodec::WireCodec(std::size_t view_size) : max_entries_(view_size + 1) {
   PSS_CHECK_MSG(view_size >= 1, "WireCodec: view_size must be positive");
   PSS_CHECK_MSG(max_entries_ <= 0xFFFF,
                 "WireCodec: view_size overflows the u16 count field");
-  entries_.reserve(max_entries_);
 }
 
 void WireCodec::encode(const WireFrame& frame,
@@ -222,24 +227,24 @@ WireError WireCodec::decode(std::span<const std::byte> bytes,
   // address) keys, and unique addresses (key order alone admits one address
   // at two ages). A sentinel anywhere outranks disorder, so the
   // normalization verdict waits for the last record.
-  entries_.resize(count);
-  RecordAddressSet& seen = record_addresses(count);
+  DecodeWorkspace& ws = decode_workspace(count);
+  NodeDescriptor* const records = ws.records.data();
   bool normalized = true;
   std::uint64_t prev_key = 0;
   const std::byte* rec = p + kHeaderBytes;
   for (std::size_t i = 0; i < count; ++i, rec += kRecordBytes) {
-    NodeDescriptor& d = entries_[i];
+    NodeDescriptor& d = records[i];
     d.address = load_u32(rec);
     d.hop_count = load_u32(rec + 4);
     if (d.address == kInvalidNode) return WireError::kBadDescriptor;
     if (!normalized) continue;
     const std::uint64_t key = flat::detail::sort_key(d);
-    normalized = (i == 0 || key > prev_key) && seen.insert(d.address);
+    normalized = (i == 0 || key > prev_key) && ws.seen.insert(d.address);
     prev_key = key;
   }
   if (!normalized) return WireError::kNotNormalized;
 
-  out.entries = flat::DescSpan(entries_.data(), count);
+  out.entries = flat::DescSpan(records, count);
   return WireError::kOk;
 }
 

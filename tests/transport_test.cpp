@@ -6,10 +6,12 @@
 //     for (reorder, duplication) plus loss and churn, the protocol
 //     invariants and the wire accounting still hold.
 //   ServiceNodeUnit       — driver mechanics in isolation.
-//   LoopbackDriver        — the event loop's own preconditions.
+//   LoopbackDriver        — the event loop's own preconditions and
+//     its share of the bus's queue.
 //   ServiceNodeWorkspace  — the per-thread exchange workspace is shared
 //     safely across drivers of different view sizes, and a node stays small.
-//   LoopbackTransport     — backend queue semantics.
+//   LoopbackTransport     — backend queue semantics: (at, seq) order
+//     against a heap oracle, and payload slots through restride and reuse.
 //   UdpTransport / TransportPollLoop — the socket path, incl. the threaded
 //     poll-loop test TSan runs in CI.
 
@@ -20,6 +22,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <queue>
 #include <set>
 #include <thread>
 #include <unistd.h>
@@ -27,6 +30,7 @@
 
 #include "get_peer_oracle.hpp"
 #include "pss/common/rng.hpp"
+#include "pss/membership/view.hpp"
 #include "pss/scenarios/digest.hpp"
 #include "pss/service/peer_sampling_service.hpp"
 #include "pss/sim/bootstrap.hpp"
@@ -182,6 +186,73 @@ TEST(TransportDifferential, RunsAreDeterministic) {
                                              50, 0xD1FF0004, 15, config);
   EXPECT_EQ(a.transport_digest, b.transport_digest);
   EXPECT_EQ(a.engine_digest, b.engine_digest);
+}
+
+// Grows `net` by `count` nodes, each seeded with two older contacts.
+void add_late_joiners(Network& net, std::size_t count) {
+  const NodeId first = net.add_nodes(count);
+  for (NodeId id = first; id < net.size(); ++id) {
+    net.node(id).init_view(View{{id / 2, 0}, {id / 3, 0}});
+  }
+}
+
+TEST(TransportDifferential, LatencyRegimesWithLossKillsAndLateJoiners) {
+  // The driver pops the bus's event queue as EventEngine pops its own, so
+  // the replay holds in every latency regime: 0/0, where every frame ties
+  // the time it was sent at; the default; latencies past the period,
+  // which keep several frames per node in flight; and exactly one period,
+  // where a request ties its sender's re-arm and only the re-arm's earlier
+  // seq orders them. Through 20% loss, kills, revivals and two late
+  // batches, whose first wake-ups merge into the ring between pending
+  // re-arms.
+  struct Regime {
+    double min_latency;
+    double max_latency;
+  };
+  for (const Regime regime : {Regime{0.0, 0.0}, Regime{0.01, 0.1},
+                              Regime{0.3, 2.5}, Regime{1.0, 1.0}}) {
+    EventEngineConfig config;
+    config.min_latency = regime.min_latency;
+    config.max_latency = regime.max_latency;
+    config.drop_probability = 0.2;
+    config.reply_timeout = 1.5;
+    auto script = [](Network& net, auto& runner) {
+      runner.run_until(4.0);
+      for (NodeId id = 10; id < 25; ++id) net.kill(id);
+      runner.run_until(8.25);
+      for (NodeId id = 10; id < 15; ++id) net.revive(id);
+      add_late_joiners(net, 12);
+      runner.run_until(12.5);
+      add_late_joiners(net, 7);
+      runner.run_until(18.0);
+    };
+    const ProtocolOptions options{6, false};
+    Network engine_net = sim::bootstrap::make_random(ProtocolSpec::newscast(),
+                                                     options, 90, 17);
+    EventEngine engine(engine_net, config);
+    script(engine_net, engine);
+
+    Network wire_net = sim::bootstrap::make_random(ProtocolSpec::newscast(),
+                                                   options, 90, 17);
+    LoopbackTransport bus(
+        LoopbackConfig{config.min_latency, config.max_latency,
+                       config.drop_probability},
+        wire_net.rng());
+    LoopbackDriver driver(
+        wire_net, bus,
+        LoopbackDriverConfig{config.period, config.reply_timeout});
+    script(wire_net, driver);
+
+    EXPECT_GT(engine.stats().messages_dropped, 0u);
+    EXPECT_GT(engine.stats().messages_to_dead, 0u);
+    EXPECT_EQ(scenarios::state_digest(engine_net),
+              scenarios::state_digest(wire_net));
+    expect_stats_equal(engine.stats(), driver.engine_stats());
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "loopback diverged at latency [" << regime.min_latency
+             << ", " << regime.max_latency << "]";
+    }
+  }
 }
 
 TEST(TransportInvariants, LossReorderDuplicationKeepViewsSound) {
@@ -522,6 +593,89 @@ TEST(LoopbackDriver, RefusesARunTargetInThePast) {
   EXPECT_DOUBLE_EQ(driver.now(), 3.0);
 }
 
+TEST(LoopbackDriver, NodeRefusesAnIdWithoutAServiceNode) {
+  // Nodes added to the network get their ServiceNode at the next run_*
+  // call; until then their ids lie past the driver's nodes.
+  ProtocolOptions options;
+  options.view_size = 6;
+  Network net = sim::bootstrap::make_random(ProtocolSpec::newscast(), options,
+                                            30, 0xD1FF000A);
+  LoopbackTransport bus({}, net.rng());
+  LoopbackDriver driver(net, bus);
+  EXPECT_EQ(driver.node(29).self(), 29u);
+  add_late_joiners(net, 5);
+  EXPECT_THROW(driver.node(30), std::logic_error);
+  EXPECT_THROW(driver.node(kInvalidNode), std::logic_error);
+  driver.run_cycles(1);
+  EXPECT_EQ(driver.node(34).self(), 34u);
+}
+
+TEST(LoopbackDriver, RawSendsToUnknownIdsAreHarmless) {
+  // The driver prefetches a hinted frame's node by the `to` its sender
+  // gave the bus, which need not name a node at all; only the header's
+  // `to` routes the frame. Valid frames sent to bogus bus ids are handled
+  // by the header, and garbage to bogus ids is rejected at the codec.
+  ProtocolOptions options;
+  options.view_size = 6;
+  Network net = sim::bootstrap::make_random(ProtocolSpec::newscast(), options,
+                                            40, 0xD1FF000C);
+  LoopbackTransport bus({}, net.rng());
+  LoopbackDriver driver(net, bus);
+  driver.run_cycles(2);
+  WireCodec codec(options.view_size);
+  const std::vector<NodeDescriptor> entries = {{1, 0}, {2, 1}};
+  WireFrame frame;
+  frame.spec = ProtocolSpec::newscast();
+  frame.from = 7;
+  frame.to = 5;
+  frame.exchange_id = 99;
+  frame.entries = flat::DescSpan(entries);
+  std::vector<std::byte> bytes;
+  codec.encode(frame, bytes);
+  const std::vector<std::byte> garbage(13, static_cast<std::byte>(0xAB));
+  const std::uint64_t received = driver.node(5).node_stats().received;
+  for (const NodeId bogus : {NodeId{40}, NodeId{1u << 30}, kInvalidNode}) {
+    for (int copy = 0; copy < 8; ++copy) {
+      bus.send(bogus, bytes);
+      bus.send(bogus, garbage);
+    }
+  }
+  driver.run_cycles(2);
+  EXPECT_EQ(driver.rejected_frames(), 24u);
+  EXPECT_GE(driver.node(5).node_stats().received, received + 24);
+}
+
+TEST(LoopbackDriver, InFlightCountsFramesWhileWakeUpsArePending) {
+  // The driver's wake-ups wait on the bus's own queue, but in_flight()
+  // counts frames only: the benchmark reads it as the frame population.
+  ProtocolOptions options;
+  options.view_size = 6;
+  Network net = sim::bootstrap::make_random(ProtocolSpec::newscast(), options,
+                                            50, 0xD1FF000B);
+  LoopbackConfig bus_config;
+  bus_config.min_delay = 0.2;
+  bus_config.max_delay = 0.6;
+  bus_config.loss_probability = 0.1;
+  bus_config.duplicate_probability = 0.2;
+  LoopbackTransport bus(bus_config, net.rng());
+  LoopbackDriver driver(net, bus, LoopbackDriverConfig{1.0, 2.0});
+  EXPECT_EQ(bus.in_flight(), 0u);
+  EXPECT_EQ(bus.queue().size(), 50u);  // one wake-up per node
+  std::size_t most = 0;
+  for (int step = 1; step <= 12; ++step) {
+    driver.run_until(0.37 * step);
+    const LoopbackStats& s = bus.stats();
+    EXPECT_EQ(bus.in_flight(), s.frames_sent + s.frames_duplicated -
+                                   s.frames_dropped - s.frames_delivered);
+    EXPECT_EQ(bus.queue().size(), bus.in_flight() + 50);
+    most = std::max(most, bus.in_flight());
+  }
+  EXPECT_GT(most, 0u);
+  // poll() would pop the driver's wake-ups too, so it refuses.
+  EXPECT_THROW(bus.poll([](NodeId, std::span<const std::byte>) {}),
+               std::logic_error);
+}
+
 TEST(LoopbackTransport, DeliversInAtSeqOrder) {
   Rng rng(0x10BA0001);
   LoopbackConfig config;
@@ -531,8 +685,9 @@ TEST(LoopbackTransport, DeliversInAtSeqOrder) {
   bus.set_now(0.0);
   bus.send(1, std::span<const std::byte>(m1));
   bus.send(2, std::span<const std::byte>(m2));
-  ASSERT_TRUE(bus.next_event().has_value());
-  EXPECT_EQ(bus.next_event()->first, 0.0);
+  ASSERT_EQ(bus.in_flight(), 2u);
+  ASSERT_NE(bus.queue().message_hint(), nullptr);
+  EXPECT_EQ(bus.queue().message_hint()->at, 0.0);
 
   std::vector<NodeId> order;
   bus.poll([&](NodeId to, std::span<const std::byte> bytes) {
@@ -574,6 +729,152 @@ TEST(LoopbackTransport, DelayedFramesWaitForTheirDueTime) {
   bus.set_now(1.0);
   delivered = bus.poll([](NodeId, std::span<const std::byte>) {});
   EXPECT_EQ(delivered, 1u);
+}
+
+// A frame of `size` bytes whose content depends on `tag`.
+std::vector<std::byte> tagged_frame(std::size_t size, std::uint32_t tag) {
+  std::vector<std::byte> frame(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    frame[i] = static_cast<std::byte>((tag * 131 + i * 7) & 0xFF);
+  }
+  return frame;
+}
+
+TEST(LoopbackTransport, SlotsKeepTheirBytesThroughRestrideAndReuse) {
+  // Payload slots are as wide as the longest frame seen. Frames of 0, 13
+  // and 276 bytes wait in flight while a longer one widens every slot;
+  // then the freed slots take frames of every size up to the new stride.
+  Rng rng(0x10BA0004);
+  LoopbackConfig config;
+  config.min_delay = 1.0;
+  config.max_delay = 1.0;
+  LoopbackTransport bus(config, rng);
+  std::vector<std::vector<std::byte>> delivered;
+  auto collect = [&](NodeId, std::span<const std::byte> bytes) {
+    delivered.emplace_back(bytes.begin(), bytes.end());
+  };
+
+  std::vector<std::vector<std::byte>> sent;
+  std::uint32_t tag = 0;
+  for (const std::size_t size : {0, 13, 276, 277}) {
+    sent.push_back(tagged_frame(size, ++tag));
+    bus.send(1, sent.back());
+  }
+  bus.set_now(1.0);
+  EXPECT_EQ(bus.poll(collect), 4u);
+  EXPECT_EQ(delivered, sent);
+
+  delivered.clear();
+  sent.clear();
+  for (const std::size_t size : {5, 277, 0, 276, 13, 200, 1}) {
+    sent.push_back(tagged_frame(size, ++tag));
+    bus.send(2, sent.back());
+  }
+  bus.set_now(2.0);
+  EXPECT_EQ(bus.poll(collect), sent.size());
+  EXPECT_EQ(delivered, sent);
+  EXPECT_EQ(bus.in_flight(), 0u);
+
+  // A handler that sends before it reads: the send takes a slot and
+  // widens the array, and the span the handler holds must not move.
+  delivered.clear();
+  const std::vector<std::byte> first = tagged_frame(100, ++tag);
+  bus.send(3, first);
+  bus.set_now(3.0);
+  std::size_t extra = 600;
+  bus.poll([&](NodeId to, std::span<const std::byte> bytes) {
+    if (to == 3) bus.send(4, tagged_frame(extra++, ++tag));
+    delivered.emplace_back(bytes.begin(), bytes.end());
+  });
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered.front(), first);
+}
+
+TEST(LoopbackTransport, DeliveryOrderMatchesAHeapOracle) {
+  // Random sends and polls under delay jitter, reorder jitter, duplication
+  // and loss. The oracle makes the bus's documented draws on a cloned Rng
+  // and orders the copies by (at, seq) in a std::priority_queue; frames of
+  // random length restride the slots along the way.
+  LoopbackConfig config;
+  config.min_delay = 0.0;
+  config.max_delay = 0.3;
+  config.loss_probability = 0.1;
+  config.reorder_probability = 0.4;
+  config.reorder_jitter = 0.8;
+  config.duplicate_probability = 0.3;
+  Rng bus_rng(0x10BA0005);
+  Rng oracle_rng(0x10BA0005);
+  Rng script(0x10BA0006);
+  LoopbackTransport bus(config, bus_rng);
+
+  struct Copy {
+    double at;
+    std::uint64_t seq;
+    std::uint32_t id;
+  };
+  struct Later {
+    bool operator()(const Copy& a, const Copy& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Copy, std::vector<Copy>, Later> oracle;
+  std::uint64_t next_seq = 0;
+  auto delay = [&] {
+    return config.min_delay +
+           oracle_rng.uniform() * (config.max_delay - config.min_delay);
+  };
+  auto oracle_send = [&](std::uint32_t id, double now) {
+    if (oracle_rng.chance(config.loss_probability)) return;
+    double d = delay();
+    if (oracle_rng.chance(config.reorder_probability)) {
+      d += oracle_rng.uniform() * config.reorder_jitter;
+    }
+    oracle.push({now + d, next_seq++, id});
+    if (oracle_rng.chance(config.duplicate_probability)) {
+      oracle.push({now + delay(), next_seq++, id});
+    }
+  };
+  auto size_of = [](std::uint32_t id) { return std::size_t{id % 301}; };
+
+  std::vector<std::uint32_t> got;
+  auto collect = [&](NodeId to, std::span<const std::byte> bytes) {
+    got.push_back(to);
+    const std::vector<std::byte> sent = tagged_frame(size_of(to), to);
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), sent.begin(),
+                           sent.end()))
+        << "frame " << to;
+  };
+  double now = 0.0;
+  std::uint32_t next_id = 0;
+  std::size_t delivered = 0;
+  for (int step = 0; step < 4000; ++step) {
+    now += script.uniform() * 0.05;
+    bus.set_now(now);
+    for (auto k = script.below(4); k > 0; --k) {
+      const std::uint32_t id = next_id++;
+      bus.send(id, tagged_frame(size_of(id), id));
+      oracle_send(id, now);
+    }
+    if (step == 3999) {
+      now += 2.0;  // drain
+      bus.set_now(now);
+    }
+    got.clear();
+    bus.poll(collect);
+    std::vector<std::uint32_t> expected;
+    while (!oracle.empty() && oracle.top().at <= now) {
+      expected.push_back(oracle.top().id);
+      oracle.pop();
+    }
+    ASSERT_EQ(got, expected) << "step " << step;
+    delivered += got.size();
+  }
+  EXPECT_TRUE(oracle.empty());
+  EXPECT_EQ(bus.in_flight(), 0u);
+  const LoopbackStats& s = bus.stats();
+  EXPECT_EQ(s.frames_delivered, delivered);
+  EXPECT_GT(s.frames_duplicated, 0u);
+  EXPECT_GT(s.frames_dropped, 0u);
 }
 
 std::uint16_t test_port_base(std::uint16_t lane) {

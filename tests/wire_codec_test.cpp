@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "pss/common/rng.hpp"
@@ -126,6 +127,49 @@ TEST(WireCodec, ProtocolIdBijection) {
   for (int id = 27; id <= 255; ++id) {
     EXPECT_FALSE(decode_protocol(static_cast<std::uint8_t>(id), sink));
   }
+}
+
+TEST(WireCodec, CodecsOfDifferentViewSizesShareOneThreadsRecordBuffer) {
+  // decode owns no heap: it writes the records into one buffer per thread.
+  // A c = 5 and a c = 30 codec decoding interleaved frames on one thread
+  // each get every frame back whole, and a parsed frame lasts until the
+  // next decode on the thread, whichever codec runs it.
+  Rng rng(0xC0DEC005);
+  WireCodec small(5);
+  WireCodec large(30);
+  for (int round = 0; round < 200; ++round) {
+    for (WireCodec* codec : {&large, &small}) {
+      const auto n =
+          static_cast<std::size_t>(rng.below(codec->max_entries() + 1));
+      const auto entries = random_entries(rng, n);
+      const WireFrame frame = make_frame(entries);
+      std::vector<std::byte> bytes;
+      codec->encode(frame, bytes);
+      ParsedFrame parsed;
+      ASSERT_EQ(decode_tight(*codec, bytes, parsed), WireError::kOk);
+      expect_frames_equal(frame, parsed);
+    }
+  }
+
+  const auto long_entries = random_entries(rng, 31);
+  const auto short_entries = random_entries(rng, 6);
+  std::vector<std::byte> long_bytes;
+  std::vector<std::byte> short_bytes;
+  large.encode(make_frame(long_entries), long_bytes);
+  small.encode(make_frame(short_entries), short_bytes);
+  ParsedFrame first;
+  ParsedFrame second;
+  ASSERT_EQ(decode_tight(large, long_bytes, first), WireError::kOk);
+  ASSERT_EQ(decode_tight(small, short_bytes, second), WireError::kOk);
+  EXPECT_EQ(first.entries.data(), second.entries.data());
+
+  // Another thread decodes into its own buffer and leaves this one alone.
+  std::thread([&] {
+    ParsedFrame other;
+    ASSERT_EQ(decode_tight(large, long_bytes, other), WireError::kOk);
+    expect_frames_equal(make_frame(long_entries), other);
+  }).join();
+  expect_frames_equal(make_frame(short_entries), second);
 }
 
 TEST(WireCodec, HeaderLayoutIsStable) {
