@@ -63,7 +63,7 @@ int main() {
     auto grown = experiments::run_growing_scenario(spec, params);
     std::set<NodeId> referenced;
     for (NodeId id = 0; id < grown.network.size(); ++id) {
-      for (const auto& d : grown.network.node(id).view().entries()) {
+      for (const auto& d : grown.network.view_span(id)) {
         if (d.address >= params.n / 2) referenced.insert(d.address);
       }
     }

@@ -49,7 +49,7 @@ int main() {
   service.init(contacts);
   engine.run(5);
   std::cout << "fresh node " << joiner << " joined via 3 contacts; after 5 "
-            << "cycles its view holds " << network.node(joiner).view().size()
+            << "cycles its view holds " << network.view_span(joiner).size()
             << " peers\n";
   std::cout << "getPeer() x 10:";
   for (int i = 0; i < 10; ++i) std::cout << " " << service.get_peer();

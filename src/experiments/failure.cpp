@@ -29,7 +29,7 @@ std::vector<RemovalPoint> run_static_robustness(const sim::Network& converged,
   // Re-index the views into the compact [0, n) vertex space.
   for (NodeId id : live) {
     std::vector<NodeDescriptor> entries;
-    for (const auto& d : converged.node(id).view().entries()) {
+    for (const auto& d : converged.view_span(id)) {
       if (d.address < vertex_of.size() &&
           vertex_of[d.address] != graph::UndirectedGraph::kNoVertex) {
         entries.push_back({vertex_of[d.address], d.hop_count});

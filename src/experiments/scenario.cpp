@@ -1,5 +1,7 @@
 #include "pss/experiments/scenario.hpp"
 
+#include <algorithm>
+
 #include "pss/common/check.hpp"
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/cycle_engine.hpp"
@@ -45,9 +47,12 @@ ScenarioResult run_scenario(sim::Network network, const ScenarioParams& params,
   Rng metric_rng(params.seed ^ 0xA5A5A5A5A5A5A5A5ULL);
   ScenarioResult result{.series = {}, .network = std::move(network)};
   sim::CycleEngine engine(result.network);
-  // One census for the whole run: its buffers are sized by the first
-  // sample and reused by every later one.
+  // One census for the whole run, sized before the first sample for the
+  // largest population the run reaches, so the samples of a growing
+  // overlay reuse one set of buffers instead of regrowing them with it.
   obs::GraphCensus census;
+  census.reserve(std::max(params.n, result.network.size()),
+                 result.network.options().view_size);
   result.series.push_back(measure(census, result.network, 0, params, metric_rng));
   for (Cycle cycle = 1; cycle <= params.cycles; ++cycle) {
     if (pre_cycle) pre_cycle(result.network, cycle);

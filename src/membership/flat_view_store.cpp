@@ -16,7 +16,6 @@ void FlatViewStore::assign(NodeId slot, std::span<const NodeDescriptor> entries)
       slots_.data() + static_cast<std::size_t>(slot) * capacity_;
   for (std::size_t i = 0; i < entries.size(); ++i) base[i] = entries[i];
   sizes_[slot] = static_cast<std::uint32_t>(entries.size());
-  touch(slot);
 }
 
 bool FlatViewStore::erase_address(NodeId slot, NodeId address) {
@@ -28,7 +27,6 @@ bool FlatViewStore::erase_address(NodeId slot, NodeId address) {
     if (base[i].address == address) {
       for (std::uint32_t j = i + 1; j < n; ++j) base[j - 1] = base[j];
       sizes_[slot] = n - 1;
-      touch(slot);
       return true;
     }
   }

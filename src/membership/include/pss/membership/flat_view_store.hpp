@@ -5,10 +5,10 @@
 // million small allocations, pointer-chasing on every exchange, and no
 // locality between the views the cycle permutation visits back to back.
 // FlatViewStore replaces it with one contiguous (NodeId, age) array indexed
-// by `slot * view_capacity`, plus side arrays for per-slot sizes and change
-// stamps. All simulation state lives in three flat vectors; growing the
-// network is an O(capacity) append and the whole store is one cache-walkable
-// block.
+// by `slot * view_capacity`, plus a side array of per-slot sizes: a slot is
+// its entries and its size, nothing else. All view state lives in two flat
+// vectors; growing the network is an O(capacity) append and the whole store
+// is one cache-walkable block.
 //
 // Invariants per slot (the same I1/I2 the View class maintains):
 //   I1  entries are sorted by (hop_count, address) — ByHopThenAddress;
@@ -18,15 +18,11 @@
 //       storage boundary: assign() rejects oversized views. Merge buffers
 //       never live in the store — they live in flat::Scratch.
 //
-// Versioning: every mutation bumps a per-slot counter (starting at 1 when
-// the slot is created). The GossipNode adapter uses the stamp to cache a
-// materialized View for the legacy `const View&` accessor without
-// re-copying on every call; nothing on the exchange hot path reads the
-// stamps. The counters are per-slot — not one global counter — so that
-// the lanes of a multi-lane cycle engine mutating disjoint slots never
-// share a memory location: every FlatViewStore mutator touches only the
-// slot it is given, which is the storage half of the engine's race-freedom
-// argument (see pss/sim/cycle_engine.hpp).
+// Lanes: every mutator writes only the given slot's entries in `slots_`
+// and its size in `sizes_`, so the lanes of a multi-lane cycle engine
+// mutating disjoint slots never share a memory location. That is the
+// storage half of the engine's race-freedom argument (see
+// pss/sim/cycle_engine.hpp).
 #pragma once
 
 #include <bit>
@@ -57,7 +53,6 @@ class FlatViewStore {
   void reserve_nodes(std::size_t n) {
     slots_.reserve(n * capacity_);
     sizes_.reserve(n);
-    versions_.reserve(n);
   }
 
   /// Appends an empty slot; returns its index (dense, creation order).
@@ -65,7 +60,6 @@ class FlatViewStore {
     const NodeId slot = static_cast<NodeId>(sizes_.size());
     slots_.resize(slots_.size() + capacity_);
     sizes_.push_back(0);
-    versions_.push_back(1);
     return slot;
   }
 
@@ -81,17 +75,9 @@ class FlatViewStore {
     return sizes_[slot];
   }
 
-  /// Change stamp of a slot; strictly increases across mutations of that
-  /// slot (mutating one slot never stamps another).
-  std::uint64_t version(NodeId slot) const {
-    PSS_DCHECK(slot < versions_.size());
-    return versions_[slot];
-  }
-
   void clear(NodeId slot) {
     PSS_DCHECK(slot < sizes_.size());
     sizes_[slot] = 0;
-    touch(slot);
   }
 
   /// Replaces a slot's entries. `entries` must already satisfy I1/I2 (the
@@ -106,7 +92,6 @@ class FlatViewStore {
         slots_.data() + static_cast<std::size_t>(slot) * capacity_;
     const std::uint32_t n = sizes_[slot];
     for (std::uint32_t i = 0; i < n; ++i) ++view[i].hop_count;
-    touch(slot);
   }
 
   /// age() fused with the active-buffer export: ages the slot in place
@@ -134,7 +119,6 @@ class FlatViewStore {
       std::memcpy(static_cast<void*>(view + i), &key, sizeof(key));
       std::memcpy(static_cast<void*>(out + i), &key, sizeof(key));
     }
-    touch(slot);
     return n;
   }
 
@@ -157,20 +141,16 @@ class FlatViewStore {
 #endif
   }
 
-  /// Bytes of flat storage currently reserved (slots + sizes + stamps).
+  /// Bytes of flat storage currently reserved (slots + sizes).
   std::size_t storage_bytes() const {
     return slots_.capacity() * sizeof(NodeDescriptor) +
-           sizes_.capacity() * sizeof(std::uint32_t) +
-           versions_.capacity() * sizeof(std::uint64_t);
+           sizes_.capacity() * sizeof(std::uint32_t);
   }
 
  private:
-  void touch(NodeId slot) { ++versions_[slot]; }
-
   std::size_t capacity_;
-  std::vector<NodeDescriptor> slots_;   ///< node_count * capacity, SoA block
-  std::vector<std::uint32_t> sizes_;    ///< live prefix length per slot
-  std::vector<std::uint64_t> versions_; ///< change stamp per slot
+  std::vector<NodeDescriptor> slots_;  ///< node_count * capacity, SoA block
+  std::vector<std::uint32_t> sizes_;   ///< live prefix length per slot
 };
 
 }  // namespace pss

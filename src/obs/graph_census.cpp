@@ -297,6 +297,27 @@ void GraphCensus::rebuild(const sim::Network& network) {
   components_.outside_largest = live_list_.size() - components_.largest;
 }
 
+void GraphCensus::reserve(std::size_t n, std::size_t c) {
+  // A union degree is below the live count, so n bins hold any histogram,
+  // and an exact estimator picks at most n nodes.
+  for (auto* v : {&live_list_, &out_deg_, &und_deg_, &parent_, &comp_size_}) {
+    v->reserve(n);
+  }
+  for (auto* v : {&hist_, &seen_, &frontier_, &next_}) v->reserve(n);
+  for (auto* v : {&in_off_, &cursor_, &comp_sizes_, &picks_}) v->reserve(n + 1);
+  in_nbr_.reserve(n * c);
+  mutual_.reserve(n * ((c + 63) / 64));
+  pick_clust_.reserve(n);
+  const unsigned lanes = lanes_for(n);
+  for (unsigned lane = 0; lane < lanes; ++lane) {
+    lanes_[lane].set.reserve((n + 63) / 64);
+    if (lanes > 1) {
+      lanes_[lane].in_cnt.reserve(n);
+      lanes_[lane].cursor.reserve(n);
+    }
+  }
+}
+
 std::uint32_t GraphCensus::find_root(std::uint32_t x) {
   while (parent_[x] != x) {
     parent_[x] = parent_[parent_[x]];  // path halving

@@ -86,10 +86,11 @@
 // nothing — the in-CSR is reserved at its hard ceiling of n·view_capacity
 // entries, and the histogram carries 2x headroom over the warm-up
 // snapshot's max degree, so re-allocating it takes a doubling of the max
-// degree (a protocol regime change, not steady-state drift).
+// degree (a protocol regime change, not steady-state drift). For a network
+// that grows between snapshots, reserve(n, c) sizes them for the final n.
 // bench/scale_metrics verifies the zero-steady-state-allocation claim with
 // a whole-process operator-new counter; tests/obs_test.cpp checks that
-// storage_bytes() holds still after the warm-up, on one lane and four.
+// storage_bytes() holds still after the warm-up or a reserve.
 //
 // Lifetime: rebuild() stores a pointer to the network; the census (and any
 // estimator call) is valid until the network is mutated or destroyed.
@@ -140,6 +141,12 @@ class GraphCensus {
   /// O(N + E) with E = live->live view entries; allocation-free after the
   /// first call on a same-sized network.
   void rebuild(const sim::Network& network);
+
+  /// Sizes every per-address buffer (in-CSR at n·c, degrees, mutual bits,
+  /// union-find, BFS words, the lanes' address sets, pick lists) once for
+  /// networks of up to `n` nodes with view capacity `c`, so a growing
+  /// overlay's census keeps one layout. Call after set_thread_pool.
+  void reserve(std::size_t n, std::size_t c);
 
   /// Attaches a fork-join pool for rebuild() and the sampled estimators;
   /// nullptr detaches. Results are bit-identical with or without a pool at

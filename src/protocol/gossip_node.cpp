@@ -49,16 +49,6 @@ GossipNode& GossipNode::operator=(const GossipNode& other) {
   return *this;
 }
 
-const View& GossipNode::view() const {
-  const std::uint64_t version = arena_->views.version(slot_);
-  if (cache_version_ != version) {
-    auto span = arena_->views.view_of(slot_);
-    cache_ = View(std::vector<NodeDescriptor>(span.begin(), span.end()));
-    cache_version_ = version;
-  }
-  return cache_;
-}
-
 void GossipNode::init_view(const View& bootstrap) {
   std::vector<NodeDescriptor> buf(bootstrap.entries());
   flat::remove_address(buf, self_);

@@ -38,14 +38,15 @@
 // one slot of a flat::NodeArena rather than the owner of a heap-allocated
 // View. Attached to sim::Network's arena it is a thin window whose state
 // lives in the network's structs-of-arrays; constructed standalone (tests,
-// DualViewNode) it owns a private single-slot arena. The protocol mechanics
-// are the shared flat_exchange/flat_ops routines either way, so this class
-// is pure API surface — the paper's semantics, including per-policy Rng
-// consumption, are identical through both the adapter and the batched
-// engine (pinned by tests/flat_view_store_test.cpp).
+// DualViewNode) it owns a private single-slot arena. Either way the slot
+// is the only copy of the view: view() copies it out on demand, and the
+// adapter keeps no View of its own. The protocol mechanics are the shared
+// flat_exchange/flat_ops routines either way, so this class is pure API
+// surface — the paper's semantics, including per-policy Rng consumption,
+// are identical through both the adapter and the batched engine (pinned
+// by tests/flat_view_store_test.cpp).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -86,15 +87,15 @@ class GossipNode {
   const ProtocolOptions& options() const { return options_; }
   const NodeStats& stats() const { return arena_->stats[slot_]; }
 
-  /// The node's current view, materialized from the flat slot and cached
-  /// until the slot changes. Inspection-path only: neither the engines nor
-  /// PeerSamplingService call this; they read view_span().
-  const View& view() const;
-
   /// Zero-copy access to the flat slot (sorted, duplicate-free entries).
   std::span<const NodeDescriptor> view_span() const {
     return arena_->views.view_of(slot_);
   }
+
+  /// A copy of the flat slot, for inspection and tests (the engines and
+  /// PeerSamplingService read view_span()). Loop over view_span(), not
+  /// over the entries of this temporary.
+  View view() const { return View({view_span().begin(), view_span().end()}); }
 
   /// init() of the peer sampling API: seeds the view with bootstrap
   /// descriptors (hop count 0), dropping any descriptor of the node itself
@@ -145,11 +146,6 @@ class GossipNode {
   ProtocolOptions options_;
   std::unique_ptr<flat::NodeArena> owned_;  ///< standalone mode backing
   flat::NodeArena* arena_;                  ///< owned_.get() or the network's
-
-  /// Sentinel: "cache never built" (store versions start at 1).
-  static constexpr std::uint64_t kNeverCached = ~std::uint64_t{0};
-  mutable View cache_;
-  mutable std::uint64_t cache_version_ = kNeverCached;
 };
 
 }  // namespace pss

@@ -9,8 +9,9 @@
 // vectors of Rng streams and counters — instead of per-node objects with
 // per-node heap allocations. The GossipNode objects handed out by node()
 // are thin adapters over arena slots (kept in a parallel vector so the
-// `GossipNode&` accessor stays reference-stable); the engines bypass them
-// and run exchanges directly over the arena. The arena lives behind a
+// `GossipNode&` accessor stays reference-stable); they hold no view state,
+// so the arena's slot is the only copy of every view. The engines bypass
+// them and run exchanges directly over the arena. The arena lives behind a
 // unique_ptr so moving a Network never invalidates the adapters' back
 // pointers.
 //
@@ -66,7 +67,7 @@ class Network {
   const GossipNode& node(NodeId id) const;
 
   /// Zero-copy view access straight from the arena (no adapter, no View
-  /// materialization) — the inspection fast path for metrics and graphs.
+  /// copy) — the inspection fast path for metrics and graphs.
   std::span<const NodeDescriptor> view_span(NodeId id) const;
 
   /// The structs-of-arrays node state. CycleEngine and the scale bench run

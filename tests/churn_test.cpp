@@ -38,7 +38,7 @@ TEST(ChurnModel, NewcomersGetContactViews) {
   const NodeId newcomer = 20;
   EXPECT_TRUE(net.is_live(newcomer));
   EXPECT_EQ(net.node(newcomer).view().size(), 3u);
-  for (const auto& d : net.node(newcomer).view().entries()) {
+  for (const auto& d : net.view_span(newcomer)) {
     EXPECT_LT(d.address, 20u);  // contacts come from the old population
   }
 }

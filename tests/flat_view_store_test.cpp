@@ -98,20 +98,28 @@ TEST(FlatViewStore, EraseAddressShiftsAndReports) {
   EXPECT_FALSE(store.erase_address(s, 1));
 }
 
-TEST(FlatViewStore, VersionStampsEveryMutation) {
-  FlatViewStore store(4);
-  const NodeId a = store.add_node();
-  const NodeId b = store.add_node();
-  const auto v0 = store.version(a);
-  store.assign(a, std::vector<NodeDescriptor>{{1, 0}});
-  const auto v1 = store.version(a);
-  EXPECT_GT(v1, v0);
-  store.age(a);
-  EXPECT_GT(store.version(a), v1);
-  // Mutating a does not stamp b.
-  const auto vb = store.version(b);
-  store.clear(a);
-  EXPECT_EQ(store.version(b), vb);
+TEST(FlatViewStore, StorageIsEntriesAndSizesOnly) {
+  // A slot is its c entries and its size: no per-slot state beyond them,
+  // before or after the mutators run over every slot.
+  constexpr std::size_t kN = 100;
+  constexpr std::size_t kC = 7;
+  constexpr std::size_t kSlotBytes = kC * 8 + 4;  // c 8-byte entries, a u32
+  FlatViewStore store(kC);
+  store.reserve_nodes(kN);
+  Rng rng(5);
+  for (std::size_t i = 0; i < kN; ++i) {
+    const NodeId s = store.add_node();
+    store.assign(s, View(random_entries(rng, kC)).entries());
+  }
+  EXPECT_EQ(store.storage_bytes(), kN * kSlotBytes);
+  std::vector<NodeDescriptor> out(kC);
+  for (NodeId s = 0; s < kN; ++s) {
+    store.age(s);
+    store.age_and_copy(s, out.data());
+    store.erase_address(s, s % 40);
+    if (s % 3 == 0) store.clear(s);
+  }
+  EXPECT_EQ(store.storage_bytes(), kN * kSlotBytes);
 }
 
 // --- flat ops vs the View algebra ----------------------------------------

@@ -143,7 +143,7 @@ TEST(GossipNode, AbsorbRandSelectionKeepsSubset) {
   node.set_view(View{{1, 1}, {2, 2}, {3, 3}, {4, 4}});
   node.handle_message(View{{5, 0}, {6, 0}});
   EXPECT_EQ(node.view().size(), 4u);
-  for (const auto& d : node.view().entries()) {
+  for (const auto& d : node.view_span()) {
     EXPECT_GE(d.address, 1u);
     EXPECT_LE(d.address, 6u);
   }

@@ -221,7 +221,7 @@ TEST(PaperShape, TailViewSelectionMakesJoinersInvisible) {
     // How many distinct nodes from the last-joined half appear in any view?
     std::set<NodeId> referenced;
     for (NodeId id = 0; id < result.network.size(); ++id) {
-      for (const auto& d : result.network.node(id).view().entries()) {
+      for (const auto& d : result.network.view_span(id)) {
         if (d.address >= p.n / 2) referenced.insert(d.address);
       }
     }

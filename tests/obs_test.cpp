@@ -226,6 +226,86 @@ TEST(GraphCensus, RebuildReusesBuffersAcrossSnapshots) {
   }
 }
 
+/// Every streamed observable of two censuses over the same snapshot.
+void expect_same_census(const obs::GraphCensus& a, const obs::GraphCensus& b) {
+  ASSERT_EQ(a.live_count(), b.live_count());
+  EXPECT_TRUE(std::equal(a.live_list().begin(), a.live_list().end(),
+                         b.live_list().begin()));
+  EXPECT_EQ(a.directed_edge_count(), b.directed_edge_count());
+  EXPECT_EQ(a.undirected_edge_count(), b.undirected_edge_count());
+  EXPECT_EQ(a.dead_link_count(), b.dead_link_count());
+  EXPECT_EQ(a.cross_partition_link_count(), b.cross_partition_link_count());
+  for (const NodeId id : a.live_list()) {
+    ASSERT_EQ(a.out_degree(id), b.out_degree(id));
+    ASSERT_EQ(a.in_degree(id), b.in_degree(id));
+    ASSERT_EQ(a.undirected_degree(id), b.undirected_degree(id));
+  }
+  const auto ah = a.degree_histogram();
+  const auto bh = b.degree_histogram();
+  ASSERT_EQ(ah.size(), bh.size());
+  EXPECT_TRUE(std::equal(ah.begin(), ah.end(), bh.begin()));
+  EXPECT_EQ(a.degree_stats().mean, b.degree_stats().mean);
+  EXPECT_EQ(a.degree_stats().variance, b.degree_stats().variance);
+  EXPECT_EQ(a.in_degree_stats().variance, b.in_degree_stats().variance);
+  EXPECT_EQ(a.out_degree_stats().variance, b.out_degree_stats().variance);
+  EXPECT_EQ(a.components().count, b.components().count);
+  EXPECT_EQ(a.components().largest, b.components().largest);
+  const auto as = a.component_sizes();
+  const auto bs = b.component_sizes();
+  ASSERT_EQ(as.size(), bs.size());
+  EXPECT_TRUE(std::equal(as.begin(), as.end(), bs.begin()));
+}
+
+TEST(GraphCensus, ReservedCensusKeepsItsStorageWhileTheNetworkGrows) {
+  // The growing scenario's census: reserved once for the final n, then
+  // rebuilt (with both exact estimators) while the overlay grows from one
+  // node to n. Its storage must not move from the first snapshot on, and
+  // at every size it must read what a fresh census reads.
+  constexpr std::size_t kN = 300;
+  constexpr std::size_t kC = 8;
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    sim::Network net(ProtocolSpec::newscast(), ProtocolOptions{kC, false}, 9);
+    const NodeId origin = net.add_node();
+    sim::ThreadPool pool(threads);
+    obs::GraphCensus census;
+    if (threads > 1) census.set_thread_pool(&pool);
+    census.reserve(kN, kC);
+    sim::CycleEngine engine(net);
+    Rng rng(4);
+    std::size_t first_bytes = 0;
+    for (int step = 0; net.size() <= kN; ++step) {
+      SCOPED_TRACE(net.size());
+      census.rebuild(net);
+      const std::size_t live = census.live_count();
+      const double clustering = census.clustering_sampled(live, rng);
+      const auto path = census.path_length_sampled(live, rng);
+      if (step == 0) first_bytes = census.storage_bytes();
+      EXPECT_EQ(census.storage_bytes(), first_bytes);
+
+      obs::GraphCensus fresh;
+      fresh.rebuild(net);
+      expect_same_census(census, fresh);
+      EXPECT_EQ(fresh.clustering_sampled(live, rng), clustering);
+      const auto fresh_path = fresh.path_length_sampled(live, rng);
+      EXPECT_EQ(fresh_path.average, path.average);
+      EXPECT_EQ(fresh_path.reachable_fraction, path.reachable_fraction);
+      EXPECT_EQ(fresh_path.diameter, path.diameter);
+
+      if (net.size() == kN) break;
+      // Newcomers know only the first node, as in the growing scenario;
+      // a few kills leave dead links behind.
+      const NodeDescriptor contact{origin, 0};
+      for (int i = 0; i < 13 && net.size() < kN; ++i) {
+        net.arena().views.assign(net.add_node(), {&contact, 1});
+      }
+      if (step % 5 == 4) net.kill_random(3, net.rng());
+      engine.run_cycle();
+    }
+    EXPECT_EQ(net.size(), kN);
+  }
+}
+
 TEST(GraphCensus, DeadLinkTallyIsBitEqualToNetworkCount) {
   // The dead-link tally folded into census pass 1 must agree exactly with
   // Network::count_dead_links on every overlay shape: clean, churned, and
@@ -447,25 +527,7 @@ TEST(GraphCensusParallel, RebuildBitEqualToSequentialAtEveryLaneCount) {
       obs::GraphCensus par;
       par.set_thread_pool(&pool);
       par.rebuild(net);
-      ASSERT_EQ(seq.live_count(), par.live_count());
-      EXPECT_EQ(seq.directed_edge_count(), par.directed_edge_count());
-      EXPECT_EQ(seq.undirected_edge_count(), par.undirected_edge_count());
-      EXPECT_EQ(seq.dead_link_count(), par.dead_link_count());
-      EXPECT_EQ(seq.cross_partition_link_count(),
-                par.cross_partition_link_count());
-      for (const NodeId id : seq.live_list()) {
-        ASSERT_EQ(seq.out_degree(id), par.out_degree(id));
-        ASSERT_EQ(seq.in_degree(id), par.in_degree(id));
-        ASSERT_EQ(seq.undirected_degree(id), par.undirected_degree(id));
-      }
-      const auto sh = seq.degree_histogram();
-      const auto ph = par.degree_histogram();
-      ASSERT_EQ(sh.size(), ph.size());
-      EXPECT_TRUE(std::equal(sh.begin(), sh.end(), ph.begin()));
-      EXPECT_EQ(seq.degree_stats().mean, par.degree_stats().mean);
-      EXPECT_EQ(seq.degree_stats().variance, par.degree_stats().variance);
-      EXPECT_EQ(seq.components().count, par.components().count);
-      EXPECT_EQ(seq.components().largest, par.components().largest);
+      expect_same_census(seq, par);
     }
   }
 }

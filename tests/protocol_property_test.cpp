@@ -97,7 +97,7 @@ TEST_P(AllProtocols, ViewsReferenceRealNodesAndPlausibleAges) {
   sim::CycleEngine engine(network);
   engine.run(kCycles);
   for (NodeId id = 0; id < kN; ++id) {
-    for (const auto& d : network.node(id).view().entries()) {
+    for (const auto& d : network.view_span(id)) {
       ASSERT_LT(d.address, kN);
       ASSERT_NE(d.address, id);
       // A descriptor ages once per owner cycle plus once per transfer; the
