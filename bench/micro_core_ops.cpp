@@ -151,7 +151,7 @@ void BM_FlatMergeSelectHead(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatMergeSelectHead);
 
-// The slab-based request/reply handlers the event engines run. Each
+// The slab-based request/reply handlers the event engine runs. Each
 // iteration restores the passive slot to its drawn view first (the kernel
 // mutates it), which prices the kernel itself, not a drifting view.
 
@@ -271,7 +271,7 @@ void BM_CalendarQueueHold(benchmark::State& state) {
 BENCHMARK(BM_CalendarQueueHold)->Arg(1 << 10)->Arg(1 << 17)->Arg(1 << 20);
 
 void BM_EventQueueHold(benchmark::State& state) {
-  // The event engines' steady state over `n` nodes at the default latency:
+  // The event engine's steady state over `n` nodes at the default latency:
   // each wake-up re-arms one period on in the ring and sends a request,
   // each request answers with a reply, both at +U[0.01, 0.1] in the
   // calendar. About 0.11 n messages wait beside the n wake-ups.

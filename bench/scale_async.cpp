@@ -1,26 +1,28 @@
-// Scale driver for the flat asynchronous engines: events/second, memory and
+// Scale driver for the flat asynchronous engine: events/second, memory and
 // steady-state allocation behavior at N ∈ {10^4, 10^5, 10^6}, swept over a
-// thread ladder, plus the recorded speedup over the frozen
-// LegacyEventEngine baseline.
+// lane ladder, plus the recorded speedup over the frozen LegacyEventEngine
+// baseline.
 //
 // This is the async counterpart of scale_million_nodes: the same Newscast
 // instance and random bootstrap, but driven through the discrete-event
 // message layer (per-message latency, drop probability, reply timeouts)
 // instead of atomic cycles. Each cell of the ladder runs the identical
-// scenario from a fresh bootstrap: the sequential EventEngine (threads = 0
-// in the output) and the ParallelEventEngine at each ladder entry. Each
-// run warms the engine for a few periods — letting the calendar queue,
-// message pool and scratch buffers reach their high-water marks — then
-// measures a timed window, counting every global operator new/delete in
-// between: the recorded `steady_allocations` is the engine's whole-process
-// allocation count during the measured window.
+// scenario from a fresh bootstrap: EventEngine on its default one lane
+// (engine "flat", threads = 0 in the output) and EventEngine at each
+// ladder entry (engine "parallel"). The one-lane rung of the ladder runs
+// the same loop as "flat"; only two or more lanes run the windowed loop
+// (see event_engine.hpp). Each run warms the engine for a few periods —
+// letting the calendar queue, message pool and scratch buffers reach their
+// high-water marks — then measures a timed window, counting every global
+// operator new/delete in between: the recorded `steady_allocations` is the
+// engine's whole-process allocation count during the measured window.
 //
 // Digest gate: every cell must end in the bit-identical network state —
 // the FNV state digest (views, liveness, per-node stats, Rng probes) of
-// each run is compared against the sequential reference, and any
-// divergence across thread counts makes the driver exit non-zero
-// ("digest_ok": false). This is the ParallelEventEngine Deterministic
-// contract enforced at the scale the test suite cannot reach.
+// each run is compared against the one-lane reference, and any
+// divergence across lane counts makes the driver exit non-zero
+// ("digest_ok": false). This is EventEngine's lane contract enforced at
+// the scale the test suite cannot reach.
 //
 // The legacy baseline (heap-of-Views object-graph engine) runs the same
 // scenario where it is feasible (it is the 10^4-capped engine this driver
@@ -29,7 +31,7 @@
 //
 // Knobs (see docs/PERFORMANCE.md):
 //   PSS_ASYNC_NS      comma-separated network sizes (default 10000,100000,1000000)
-//   PSS_ASYNC_THREADS comma-separated parallel-engine lane counts (default 1,2,4)
+//   PSS_ASYNC_THREADS comma-separated EventEngine lane counts (default 1,2,4)
 //   PSS_PERIODS       measured periods per run (default max(20, ⌈2·10^6/n⌉):
 //                     every cell times at least 2·10^6 node wake-ups, so the
 //                     small-n cells measure more than noise)
@@ -56,7 +58,6 @@
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/legacy_event_engine.hpp"
 #include "pss/sim/network.hpp"
-#include "pss/sim/parallel_event_engine.hpp"
 
 // --- Whole-process allocation counter --------------------------------------
 // Overriding the global allocation functions in the bench binary counts
@@ -126,7 +127,7 @@ std::uint64_t events_processed(const pss::sim::EventEngineStats& s) {
   return s.wakeups + (s.messages_sent - s.messages_dropped);
 }
 
-/// One cell: engine ∈ {flat sequential (threads = 0), parallel at a ladder
+/// One cell: engine ∈ {flat (one lane, threads = 0), parallel at a ladder
 /// entry, legacy baseline}.
 struct RunResult {
   std::size_t n = 0;
@@ -142,7 +143,7 @@ struct RunResult {
   double mean_view_size = 0;
   std::uint64_t digest = 0;  ///< post-run state digest (0 for legacy)
   bool gated = false;        ///< participates in the digest gate
-  std::uint64_t windows = 0; ///< parallel engine only
+  std::uint64_t windows = 0; ///< parallel rows with two or more lanes
   std::uint64_t deferred_tasks = 0;
   std::uint64_t pooled_tasks = 0;
   pss::sim::EventEngineStats stats;
@@ -264,9 +265,9 @@ int main() {
       par.engine = "parallel";
       par.threads = static_cast<unsigned>(threads);
       par.gated = true;
-      run_cell<sim::ParallelEventEngine>(
+      run_cell<sim::EventEngine>(
           par, spec, c, seed, cfg, warmup,
-          [&par](const sim::ParallelEventEngine& e) {
+          [&par](const sim::EventEngine& e) {
             par.windows = e.windows();
             par.deferred_tasks = e.deferred_tasks();
             par.pooled_tasks = e.pooled_tasks();

@@ -2,14 +2,14 @@
 // scenario, at scale, with the differential contract checked in-run.
 //
 // Phase 1 — differential gate (the scenario subsystem's reason to exist):
-// for each engine (CycleEngine on one lane and on two, EventEngine,
-// ParallelEventEngine) a run with a zero-byzantine AdversaryModel attached
-// must be bit-identical to the unhooked run: state digest everywhere,
-// census digest on the one-lane CycleEngine. That engine and EventEngine
-// are checked with both adversary kinds; the 2-lane ParallelEventEngine is
-// hooked with a hub adversary and compared against the unhooked
-// EventEngine. A CycleEngine run under uniform-mode TraceChurn must be
-// bit-identical to the same run under plain ChurnModel. Any divergence is
+// for each engine (CycleEngine and EventEngine, each on one lane and on
+// two) a run with a zero-byzantine AdversaryModel attached must be
+// bit-identical to the unhooked run: state digest everywhere, census
+// digest on the one-lane CycleEngine. Both engines on one lane are checked
+// with both adversary kinds; the 2-lane EventEngine is hooked with a hub
+// adversary and compared against the unhooked one-lane EventEngine. A
+// CycleEngine run under uniform-mode TraceChurn must be bit-identical to
+// the same run under plain ChurnModel. Any divergence is
 // a hard failure (exit 1), in the style of BENCH_parallel.json's
 // deterministic-vs-sequential gate: the equivalence contract is enforced
 // on every bench run, not just in the test suite.
@@ -50,7 +50,6 @@
 #include "pss/sim/cycle_engine.hpp"
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/network.hpp"
-#include "pss/sim/parallel_event_engine.hpp"
 
 namespace {
 
@@ -232,7 +231,7 @@ int main() {
     scenarios::AdversaryModel forge(none_forge);
     gate("event/state-forgery", plain, run_event(&forge));
     sim::Network net = make_net(dn);
-    sim::ParallelEventEngine engine(net, sim::EventEngineConfig{}, 2);
+    sim::EventEngine engine(net, sim::EventEngineConfig{}, 2);
     scenarios::AdversaryModel par_hub(none_hub);
     engine.attach_adversary(par_hub);
     engine.run_cycles(cycles);

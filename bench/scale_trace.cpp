@@ -2,7 +2,7 @@
 //
 // Phase 1 is a hard differential gate, in the scale_transport mold: for
 // every engine that carries the TraceProbe seam — CycleEngine (1, 2 and 4
-// lanes), EventEngine, ParallelEventEngine and the
+// lanes), EventEngine (1 and 4 lanes) and the
 // ServiceNode/LoopbackDriver wire stack — three freshly-seeded runs of the
 // same workload must finish with equal scenarios::state_digest: untraced
 // (no probe attached), disarmed (probe attached, armed=false) and armed
@@ -36,7 +36,6 @@
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/cycle_engine.hpp"
 #include "pss/sim/event_engine.hpp"
-#include "pss/sim/parallel_event_engine.hpp"
 #include "pss/transport/loopback_driver.hpp"
 
 namespace {
@@ -160,21 +159,9 @@ int main() {
                       seconds_since(t0), kit.recorder.total_recorded(),
                       kit.recorder.dropped()};
   };
-  auto run_event = [&](std::size_t n, Probe probe) {
+  auto run_event = [&](std::size_t n, unsigned lanes, Probe probe) {
     sim::Network net = make_net(n);
-    sim::EventEngine engine(net, sim::EventEngineConfig{});
-    TraceKit kit(ring, probe == Probe::kArmed);
-    if (probe != Probe::kNone) engine.attach_trace(kit.tee);
-    const auto t0 = Clock::now();
-    engine.run_cycles(cycles);
-    return RunOutcome{scenarios::state_digest(net), engine.stats().wakeups,
-                      seconds_since(t0), kit.recorder.total_recorded(),
-                      kit.recorder.dropped()};
-  };
-  auto run_parallel_event = [&](std::size_t n, unsigned threads,
-                                Probe probe) {
-    sim::Network net = make_net(n);
-    sim::ParallelEventEngine engine(net, sim::EventEngineConfig{}, threads);
+    sim::EventEngine engine(net, sim::EventEngineConfig{}, lanes);
     TraceKit kit(ring, probe == Probe::kArmed);
     if (probe != Probe::kNone) engine.attach_trace(kit.tee);
     const auto t0 = Clock::now();
@@ -229,19 +216,20 @@ int main() {
     gate(check, run_cycle(dn, t, Probe::kNone),
          run_cycle(dn, t, Probe::kDisarmed), run_cycle(dn, t, Probe::kArmed));
   }
-  gate("event", run_event(dn, Probe::kNone), run_event(dn, Probe::kDisarmed),
-       run_event(dn, Probe::kArmed));
-  gate("parallel_event/t=4", run_parallel_event(dn, 4, Probe::kNone),
-       run_parallel_event(dn, 4, Probe::kDisarmed),
-       run_parallel_event(dn, 4, Probe::kArmed));
+  for (const unsigned t : {1u, 4u}) {
+    const std::string check =
+        t == 1 ? "event" : "parallel_event/t=" + std::to_string(t);
+    gate(check, run_event(dn, t, Probe::kNone),
+         run_event(dn, t, Probe::kDisarmed), run_event(dn, t, Probe::kArmed));
+  }
   gate("service/loopback", run_service(dn, Probe::kNone),
        run_service(dn, Probe::kDisarmed), run_service(dn, Probe::kArmed));
 
   // ---- Phase 2: armed flight-recorder overhead ---------------------------
   std::vector<OverheadRow> rows;
   for (const std::size_t n : sizes) {
-    const RunOutcome off = run_event(n, Probe::kNone);
-    const RunOutcome on = run_event(n, Probe::kArmed);
+    const RunOutcome off = run_event(n, 1, Probe::kNone);
+    const RunOutcome on = run_event(n, 1, Probe::kArmed);
     if (off.digest != on.digest) {
       std::fprintf(stderr, "FATAL: overhead run diverged at n=%zu\n", n);
       return 1;

@@ -6,7 +6,7 @@
 //     network's NodeArena with a persistent Scratch — the batched,
 //     allocation-free atomic-exchange path;
 //   - every byzantine-hooked exchange and every asynchronous driver
-//     (EventEngine, ParallelEventEngine and the wire-level ServiceNode)
+//     (EventEngine at any lane count and the wire-level ServiceNode)
 //     reach the request/reply split kernels below through sim::ExchangeCore
 //     (pss/sim/exchange_apply.hpp) — the same Figure-1 halves, decoupled in
 //     time by a message layer, or run back to back in the cycle model;

@@ -41,7 +41,7 @@ CycleStep select_cycle_step(Network& net, NodeId initiator) {
 
 /// The hooked exchange of phase 2: ExchangeCore's three halves back to
 /// back — write_request, on_request, on_reply — so the cycle engine forges
-/// through the same code as the event engines and ServiceNode. The core has
+/// through the same code as the event engine and ServiceNode. The core has
 /// no trace probe (the engine records its own select and merge_apply
 /// spans) and is owed no aging (execute_cycle_step applied it). The request
 /// and reply live in scratch.buffer / scratch.reply, which the core's

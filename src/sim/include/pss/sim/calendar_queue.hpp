@@ -1,6 +1,6 @@
 // Index-based calendar queue: the message scheduler inside EventQueue
 // (event_queue.hpp), which keeps the periodic wake-ups in a ring beside
-// it. The event engines queue their messages there, and LoopbackTransport
+// it. The event engine queues its messages there, and LoopbackTransport
 // its wire frames.
 //
 // A binary heap makes every schedule/pop O(log n) with n random touches of
@@ -89,8 +89,10 @@ class CalendarQueue {
   }
 
   /// Smallest (at, seq) item. Advances the sweep cursor; amortized O(1)
-  /// under the dense near-future workload the engine produces. The
-  /// reference stays valid until the next pop/rebuild.
+  /// under the dense near-future workload the engine produces, and O(1)
+  /// when called again with nothing popped, so a driver may peek at the
+  /// next item to prefetch it at no extra scan. The reference stays valid
+  /// until the next push or pop (a push may grow the node pool).
   const Item& top() {
     PSS_CHECK_MSG(size_ > 0, "top() on empty calendar queue");
     // Lap scan. Invariant: no item has a virtual bucket below cursor_, and
@@ -134,15 +136,6 @@ class CalendarQueue {
     if (top().at > until) return nullptr;
     popped_ = pop_at_cursor();
     return &popped_;
-  }
-
-  /// Scan-free guess at the next item: the minimum of the bucket the sweep
-  /// cursor is parked on (usually where the next pop lands). May return
-  /// nullptr or a non-minimal item — callers use it only as a prefetch
-  /// hint, never for ordering.
-  const Item* peek_hint() const {
-    const std::uint32_t min_node = tail_[cursor_ & mask_];
-    return min_node == kNil ? nullptr : &pool_[min_node].item;
   }
 
   /// Bytes held in the node pool, bucket tables and resize spill buffer —

@@ -1,7 +1,7 @@
 // The asynchronous engines' event queue: periodic wake-ups in a FIFO ring,
 // in-flight messages in a calendar queue, popped as one stream in
-// (at, seq) order. EventEngine and ParallelEventEngine queue their engine
-// messages here; LoopbackTransport queues its wire frames here, and the
+// (at, seq) order. EventEngine queues its engine messages here, at any
+// lane count; LoopbackTransport queues its wire frames here, and the
 // LoopbackDriver that runs it keeps the node timers on the same ring.
 //
 // Every node's active thread wakes once per period T (the skeleton's
@@ -21,10 +21,9 @@
 // 2 T for zero-latency messages), so in-flight messages spread over about
 // half of its buckets whatever the period.
 //
-// The ring also names the coming wake-ups exactly (wakeup_ahead), and the
-// calendar offers a scan-free guess at the next message (message_hint):
-// the drivers prefetch what those events will touch while the current one
-// is handled.
+// The ring names the coming wake-ups exactly (wakeup_ahead), and the
+// calendar its next message (message_hint): the drivers prefetch what
+// those events will touch while the current one is handled.
 #pragma once
 
 #include <algorithm>
@@ -142,10 +141,12 @@ class EventQueue {
     return k < wakes_ ? ring_[slot(k)].node : kInvalidNode;
   }
 
-  /// The calendar's scan-free guess at the next message (see
-  /// CalendarQueue::peek_hint): a prefetch hint, never an ordering.
-  const typename CalendarQueue<T>::Item* message_hint() const {
-    return messages_.peek_hint();
+  /// The next message, the calendar's (at, seq) minimum, or nullptr when
+  /// none is in flight. It runs the calendar's top(), whose bucket scan
+  /// the next pop would run anyway; that pop then finds the cursor parked
+  /// on its bucket. The item stays valid until the next push or pop.
+  const typename CalendarQueue<T>::Item* message_hint() {
+    return messages_.empty() ? nullptr : &messages_.top();
   }
 
   /// Bytes held by the ring and the calendar.

@@ -5,9 +5,9 @@
 // node state — reply expiry, peer selection, aging, the buffer builds,
 // absorb, the byzantine forge (ExchangeTamper) and the select / timeout /
 // merge_apply / reply_received spans — and never moves a message.
-// EventEngine, ParallelEventEngine and ServiceNode (and through it
-// LoopbackDriver) drive it and keep only their own I/O: the engines their
-// event queue, master-Rng drop and latency draws and message slabs;
+// EventEngine (at any lane count) and ServiceNode (and through it
+// LoopbackDriver) drive it and keep only their own I/O: the event engine
+// its event queue, master-Rng drop and latency draws and message slabs;
 // ServiceNode its wire frames and Transport. A caller records only the
 // request_sent span, which brackets its own hand-off. The cycle engine's
 // hooked exchange (cycle_engine.cpp) runs write_request, on_request and
@@ -16,8 +16,8 @@
 // Per node, a caller runs on_tick, then write_request and hands the
 // buffer off (or lose_request if the request is lost before it is built);
 // on_request for an incoming request; admit_reply and on_reply for a reply.
-// admit_reply is a free function so the parallel engine's sequencer can
-// run it apart from the absorb it defers to a worker lane.
+// admit_reply is a free function so the event engine's sequencer can run
+// it apart from the absorb it defers to a worker lane on several lanes.
 //
 // A pulling node keeps ONE outstanding exchange. A reply is accepted only
 // from the peer that was asked, with the outstanding id, within its

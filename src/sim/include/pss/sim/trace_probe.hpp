@@ -27,7 +27,7 @@
 //     a leaf spinlock / relaxed atomics, so no lock-order cycle with the
 //     engines' own locks is possible).
 //   - exchange_id. Engines label spans of one logical exchange with one
-//     id. The event engines and ServiceNode use their wire exchange id —
+//     id. The event engine and ServiceNode use their wire exchange id —
 //     the same u64 the PR-7 WireCodec header carries — which is what lets
 //     scripts/trace_tool.py stitch dumps from two UDP processes into one
 //     causal request->reply chain. The cycle engine has no wire id and

@@ -18,7 +18,7 @@
 // While one event is handled, the driver prefetches what the coming ones
 // will touch, as EventEngine does: the arena slot and ServiceNode of the
 // wake-up kPrefetchAhead places ahead in the ring, and the bytes, arena
-// slot and ServiceNode of the calendar's hinted frame.
+// slot and ServiceNode of the calendar's next frame.
 //
 // Because LoopbackTransport also mirrors the engine's master-Rng draw
 // pattern per message (see loopback_transport.hpp), a run under any

@@ -2,7 +2,7 @@
 
 // Deterministic in-process Transport backend.
 //
-// Frames wait in a sim::EventQueue, the event engines' own scheduler,
+// Frames wait in a sim::EventQueue, the event engine's own scheduler,
 // under (deliver_at, seq): seq is the queue's monotone counter, so the
 // order is a strict total order with exactly the tie-break discipline of
 // EventEngine's queue. The differential tests lean on a stronger property:
@@ -22,7 +22,7 @@
 // (queue()), so timers and frames draw their seqs from one counter and pop
 // as EventEngine's single totally-ordered event stream. The driver pops
 // frames straight off the queue, reads them in place (bytes), prefetches
-// the calendar's hinted frame (prefetch) and frees each slot (release);
+// the calendar's next frame (prefetch) and frees each slot (release);
 // poll() is the Transport path for everyone else.
 //
 // Payloads live in one contiguous array of fixed-stride slots, recycled

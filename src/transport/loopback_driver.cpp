@@ -88,9 +88,9 @@ void LoopbackDriver::advance_to(double until) {
     now_ = e->at;
     bus_->set_now(now_);
     // Warm what the coming events touch while this one is handled: the
-    // ring names the coming wake-ups exactly, and the calendar's hint is a
-    // guess at the next frame. A hinted `to` is whatever the sender
-    // addressed, so every id is bounds-checked before it indexes nodes_.
+    // ring names the coming wake-ups, and the calendar its next frame,
+    // exactly. A frame's `to` is whatever the sender addressed, so every
+    // id is bounds-checked before it indexes nodes_.
     // The prefetches stay in this loop's body: the compiler may drop a
     // call to a function that only prefetches.
     const auto* hint = queue.message_hint();

@@ -5,8 +5,9 @@
 //   2. EventQueue unit tests — the wake-up ring's FIFO order across
 //      wrap-around and growth, late batches merged between pending
 //      re-arms, (at, seq) ties between the ring and the calendar, the
-//      debug check on out-of-order re-arms, and a randomized replay of the
-//      engines' load against std::priority_queue.
+//      message hint naming the next message, the debug check on
+//      out-of-order re-arms, and a randomized replay of the engine's load
+//      against std::priority_queue.
 //   3. Trace equivalence — the flat EventEngine must reproduce the frozen
 //      LegacyEventEngine bit-for-bit from the same seed: identical
 //      EventEngineStats, identical final views and per-node counters, for
@@ -223,6 +224,42 @@ TEST(EventQueue, TiesBetweenRingAndCalendarBreakOnSeq) {
   q.rearm(3.0, 0);
   EXPECT_EQ(q.pop_if_at_most(2.5), nullptr);
   EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueue, MessageHintIsTheNextMessageWhileAnyIsInFlight) {
+  // The year is 0.2 over 16 buckets: 0.01 and 0.15 lie 12 buckets apart,
+  // so popping the first empties the bucket the calendar's cursor is
+  // parked on. The hint must still name the second.
+  EventQueue<int> q(1.0, 0.1);
+  EXPECT_EQ(q.message_hint(), nullptr);
+  q.push(0.01, 1);
+  q.push(0.15, 2);
+  ASSERT_NE(q.message_hint(), nullptr);
+  EXPECT_EQ(q.message_hint()->value, 1);
+  const auto* first = q.pop_if_at_most(1.0);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->message, 1);
+  const auto* hint = q.message_hint();
+  ASSERT_NE(hint, nullptr);
+  EXPECT_EQ(hint->at, 0.15);
+  EXPECT_EQ(hint->value, 2);
+  // A later push that sorts first takes the hint over; a wake-up due
+  // before both leaves it alone.
+  q.push(0.12, 3);
+  q.add_first_wakeups(0, 1, [](NodeId) { return 0.05; });
+  ASSERT_NE(q.message_hint(), nullptr);
+  EXPECT_EQ(q.message_hint()->value, 3);
+  const auto* wake = q.pop_if_at_most(1.0);
+  ASSERT_NE(wake, nullptr);
+  EXPECT_TRUE(wake->wakeup());
+  ASSERT_NE(q.message_hint(), nullptr);
+  EXPECT_EQ(q.message_hint()->value, 3);
+  for (const int expected : {3, 2}) {
+    const auto* e = q.pop_if_at_most(1.0);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->message, expected);
+  }
+  EXPECT_EQ(q.message_hint(), nullptr);
 }
 
 #ifndef NDEBUG

@@ -1,10 +1,10 @@
-// ParallelEventEngine's contract: the Deterministic windowed schedule
-// replays the sequential EventEngine bit-identically — identical
-// EventEngineStats, identical per-node views/counters/Rng streams (pinned
-// through scenarios::state_digest) — at every thread count, for every
-// evaluated protocol, and under loss, timeouts, kills, revivals and late
-// joiners. Suite names begin with ParallelEventEngine so CI's TSan job
-// regex picks them up (see .github/workflows/ci.yml).
+// EventEngine's lane contract: on two or more lanes the windowed schedule
+// replays the one-lane loop bit-identically — identical EventEngineStats,
+// identical per-node views/counters/Rng streams (pinned through
+// scenarios::state_digest) — at every lane count, for every evaluated
+// protocol, and under loss, timeouts, kills, revivals and late joiners.
+// Suite names begin with ParallelEventEngine so CI's TSan job regex picks
+// them up (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,7 +12,6 @@
 #include "pss/scenarios/digest.hpp"
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/event_engine.hpp"
-#include "pss/sim/parallel_event_engine.hpp"
 #include "pss/sim/probe.hpp"
 
 namespace pss::sim {
@@ -48,7 +47,7 @@ TEST(ParallelEventEngineDeterministic, AllProtocolsAllThreadCounts) {
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
       auto net =
           bootstrap::make_random(spec, ProtocolOptions{8, false}, 150, 99);
-      ParallelEventEngine par(net, async_config(), threads);
+      EventEngine par(net, async_config(), threads);
       par.run_until(10.5);
       EXPECT_DOUBLE_EQ(ref.now(), par.now());
       expect_stats_equal(ref.stats(), par.stats());
@@ -74,7 +73,7 @@ TEST(ParallelEventEngineDeterministic, LossTimeoutsKillsAndLateJoiners) {
   auto par_net = bootstrap::make_random(ProtocolSpec::newscast(),
                                         ProtocolOptions{6, false}, 80, 7);
   EventEngine ref(ref_net, cfg);
-  ParallelEventEngine par(par_net, cfg, 4);
+  EventEngine par(par_net, cfg, 4);
 
   ref.run_until(5.0);
   par.run_until(5.0);
@@ -132,7 +131,7 @@ TEST(ParallelEventEngineDeterministic, LatencyRegimesWithLossKillsAndLateJoiners
     for (unsigned threads : {1u, 2u, 4u}) {
       auto net = bootstrap::make_random(ProtocolSpec::newscast(),
                                         ProtocolOptions{6, false}, 90, 17);
-      ParallelEventEngine par(net, cfg, threads);
+      EventEngine par(net, cfg, threads);
       script(net, par);
       expect_stats_equal(ref.stats(), par.stats());
       EXPECT_EQ(scenarios::state_digest(ref_net), scenarios::state_digest(net))
@@ -142,10 +141,33 @@ TEST(ParallelEventEngineDeterministic, LatencyRegimesWithLossKillsAndLateJoiners
   }
 }
 
+TEST(ParallelEventEngine, LaneRuleOneLaneOpensNoWindows) {
+  // One lane is the default and runs the plain loop, which opens no
+  // windows; two lanes run the windowed loop to the same end; 0 asks for
+  // the hardware's concurrency.
+  auto one_net = bootstrap::make_random(ProtocolSpec::newscast(),
+                                        ProtocolOptions{8, false}, 120, 41);
+  auto two_net = bootstrap::make_random(ProtocolSpec::newscast(),
+                                        ProtocolOptions{8, false}, 120, 41);
+  EventEngine one(one_net, async_config());
+  EventEngine two(two_net, async_config(), 2);
+  EXPECT_EQ(one.threads(), 1u);
+  EXPECT_EQ(two.threads(), 2u);
+  one.run_until(6.0);
+  two.run_until(6.0);
+  EXPECT_EQ(one.windows(), 0u);
+  EXPECT_EQ(one.deferred_tasks(), 0u);
+  EXPECT_GT(two.windows(), 0u);
+  EXPECT_GT(two.deferred_tasks(), 0u);
+  expect_stats_equal(one.stats(), two.stats());
+  EXPECT_EQ(scenarios::state_digest(one_net), scenarios::state_digest(two_net));
+  EXPECT_GE(EventEngine(one_net, async_config(), 0).threads(), 1u);
+}
+
 TEST(ParallelEventEngine, RefusesARunTargetInThePast) {
   auto net = bootstrap::make_random(ProtocolSpec::newscast(),
                                     ProtocolOptions{8, false}, 40, 12);
-  ParallelEventEngine par(net, async_config(), 2);
+  EventEngine par(net, async_config(), 2);
   par.run_until(3.0);
   const std::uint64_t wakeups = par.stats().wakeups;
   EXPECT_THROW(par.run_until(1.5), std::logic_error);
@@ -165,7 +187,7 @@ TEST(ParallelEventEngineDeterministic, ZeroLatencyDegradesToSequential) {
   auto par_net = bootstrap::make_random(ProtocolSpec::newscast(),
                                         ProtocolOptions{8, false}, 60, 21);
   EventEngine ref(ref_net, cfg);
-  ParallelEventEngine par(par_net, cfg, 4);
+  EventEngine par(par_net, cfg, 4);
   ref.run_until(8.0);
   par.run_until(8.0);
   EXPECT_DOUBLE_EQ(par.lookahead(), 0.0);
@@ -188,7 +210,7 @@ TEST(ParallelEventEngineDeterministic, RunCyclesAndProbesMatchSequential) {
   auto par_net = bootstrap::make_random(ProtocolSpec::newscast(),
                                         ProtocolOptions{8, false}, 70, 5);
   EventEngine ref(ref_net, async_config());
-  ParallelEventEngine par(par_net, async_config(), 4);
+  EventEngine par(par_net, async_config(), 4);
   CountingProbe ref_probe;
   CountingProbe par_probe;
   ref.attach_probe(ref_probe, 2);
@@ -219,7 +241,7 @@ TEST(ParallelEventEngineDeterministic, AdversaryHookMatchesSequential) {
   auto par_net = bootstrap::make_random(ProtocolSpec::newscast(),
                                         ProtocolOptions{8, false}, 90, 31);
   EventEngine ref(ref_net, async_config());
-  ParallelEventEngine par(par_net, async_config(), 4);
+  EventEngine par(par_net, async_config(), 4);
   HubPoison ref_tamper;
   HubPoison par_tamper;
   ref.attach_adversary(ref_tamper);
@@ -236,7 +258,7 @@ TEST(ParallelEventEngineDeterministic, WindowsActuallyBatch) {
   // the pool; everything still digest-matches the reference.
   auto net = bootstrap::make_random(ProtocolSpec::newscast(),
                                     ProtocolOptions{8, false}, 300, 77);
-  ParallelEventEngine par(net, async_config(), 4);
+  EventEngine par(net, async_config(), 4);
   par.run_until(6.0);
   EXPECT_GT(par.windows(), 0u);
   EXPECT_GT(par.deferred_tasks(), 0u);

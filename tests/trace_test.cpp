@@ -6,7 +6,7 @@
 //   3. Non-perturbation — a run with the tracing seam attached (disarmed
 //      OR armed) ends digest-identical to an untraced run, on every
 //      engine that carries the seam: CycleEngine (1, 2 and 4 lanes),
-//      EventEngine, ParallelEventEngine, and the ServiceNode/LoopbackDriver
+//      EventEngine (1, 2 and 4 lanes), and the ServiceNode/LoopbackDriver
 //      wire stack; the cycle engine records the same spans at any lane
 //      count.
 //   4. Pull endpoint — serves the latest installed snapshot over real TCP;
@@ -39,7 +39,6 @@
 #include "pss/sim/cycle_engine.hpp"
 #include "pss/sim/event_engine.hpp"
 #include "pss/sim/network.hpp"
-#include "pss/sim/parallel_event_engine.hpp"
 #include "pss/sim/trace_probe.hpp"
 #include "pss/transport/loopback_driver.hpp"
 #include "pss/transport/loopback_transport.hpp"
@@ -466,7 +465,7 @@ TEST(TraceProbeParallel, ParallelEventEngineUnperturbed) {
   for (const unsigned threads : {2u, 4u}) {
     expect_unperturbed(300, [threads](sim::Network& net,
                                       sim::TraceProbe* probe) {
-      sim::ParallelEventEngine engine(net, sim::EventEngineConfig{}, threads);
+      sim::EventEngine engine(net, sim::EventEngineConfig{}, threads);
       if (probe != nullptr) engine.attach_trace(*probe);
       engine.run_cycles(10);
     });
@@ -503,7 +502,7 @@ TEST(TraceProbeParallel, SpanCountsMatchAcrossAsyncDrivers) {
     });
     const Counts parallel = run([&](sim::Network& net,
                                     sim::TraceProbe& probe) {
-      sim::ParallelEventEngine engine(net, config, 3);
+      sim::EventEngine engine(net, config, 3);
       engine.attach_trace(probe);
       engine.run_cycles(15);
     });
