@@ -12,8 +12,7 @@
 #include "bench_util.hpp"
 #include "pss/common/table.hpp"
 #include "pss/experiments/reporting.hpp"
-#include "pss/graph/metrics.hpp"
-#include "pss/graph/undirected_graph.hpp"
+#include "pss/obs/graph_census.hpp"
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/cycle_engine.hpp"
 
@@ -52,11 +51,12 @@ int main() {
                                            params.n, params.seed);
     sim::CycleEngine engine(net);
     engine.run(params.cycles);
-    const auto g = graph::UndirectedGraph::from_network(net);
+    obs::GraphCensus census;
+    census.rebuild(net);
     Rng metric_rng(params.seed ^ 0xC0FFEEULL);
-    const double clustering = graph::clustering_coefficient_sampled(
-        g, params.clustering_sample, metric_rng);
-    const auto summary = graph::degree_summary(g);
+    const double clustering =
+        census.clustering_sampled(params.clustering_sample, metric_rng);
+    const obs::DegreeStats summary = census.degree_stats();
 
     // Joiner visibility from the growing scenario: how many of the
     // last-joined half are referenced by anyone at the end?

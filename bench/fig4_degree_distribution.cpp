@@ -9,16 +9,13 @@
 // Degree is always >= c because every node keeps c out-links.
 //
 // Snapshots run on the streaming GraphCensus (no edge-list/snapshot-graph
-// materialization), which produces bit-identical histograms to the exact
-// pipeline; set PSS_EXACT_METRICS=1 to force the legacy exact path (small
-// N only — it builds an UndirectedGraph per snapshot).
+// materialization), whose histograms are bit-identical to the snapshot-graph
+// oracle's (tests/obs_test.cpp).
 #include <algorithm>
 #include <iostream>
 
 #include "bench_util.hpp"
 #include "pss/experiments/reporting.hpp"
-#include "pss/graph/metrics.hpp"
-#include "pss/graph/undirected_graph.hpp"
 #include "pss/obs/graph_census.hpp"
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/cycle_engine.hpp"
@@ -27,7 +24,6 @@
 int main() {
   using namespace pss;
   auto params = bench::scaled_params(/*quick_n=*/2000, /*quick_cycles=*/150);
-  const bool exact = env::get_int("PSS_EXACT_METRICS", 0) != 0;
 
   experiments::print_banner(
       std::cout, "Figure 4 — degree distributions from the random topology",
@@ -60,29 +56,17 @@ int main() {
     sim::CycleEngine engine(network);
     for (Cycle snapshot : snapshots) {
       engine.run(snapshot - engine.cycle());
+      census.rebuild(network);
       stats::Histogram hist;
-      double mean = 0;
-      std::size_t max_degree = 0;
-      if (exact) {
-        const auto g = graph::UndirectedGraph::from_network(network);
-        for (std::uint32_t v = 0; v < g.vertex_count(); ++v)
-          hist.add(g.degree(v));
-        const auto summary = graph::degree_summary(g);
-        mean = summary.mean;
-        max_degree = summary.max;
-      } else {
-        census.rebuild(network);
-        const auto counts = census.degree_histogram();
-        for (std::size_t d = 0; d < counts.size(); ++d) {
-          if (counts[d] > 0) hist.add(d, counts[d]);
-        }
-        mean = census.degree_stats().mean;
-        max_degree = census.degree_stats().max;
+      const auto counts = census.degree_histogram();
+      for (std::size_t d = 0; d < counts.size(); ++d) {
+        if (counts[d] > 0) hist.add(d, counts[d]);
       }
       hist.print_loglog(std::cout,
                         "  cycle " + std::to_string(snapshot) + "  (mean=" +
-                            format_double(mean, 1) + " max=" +
-                            std::to_string(max_degree) + ")");
+                            format_double(census.degree_stats().mean, 1) +
+                            " max=" +
+                            std::to_string(census.degree_stats().max) + ")");
       const std::string spec_name = spec.name();
       for (const auto& [degree, count] : hist.points()) {
         trace.row({std::string_view(spec_name),

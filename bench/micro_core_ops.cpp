@@ -2,10 +2,9 @@
 // selection (object-graph and fused flat variants), a full pushpull
 // exchange, scheduler schedule/pop (event queue, calendar queue, binary
 // heap, the loopback bus), one simulation cycle at several network
-// sizes, graph snapshot construction and the metric estimators, and the
-// streaming census's rebuild and estimators. These bound the cost of the
-// experiment harness and catch performance regressions in the exchange
-// and measurement paths.
+// sizes, and the streaming census's rebuild and estimators. These bound
+// the cost of the experiment harness and catch performance regressions in
+// the exchange and measurement paths.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,8 +13,6 @@
 #include <queue>
 #include <utility>
 
-#include "pss/graph/metrics.hpp"
-#include "pss/graph/undirected_graph.hpp"
 #include "pss/membership/flat_ops.hpp"
 #include "pss/membership/view.hpp"
 #include "pss/obs/graph_census.hpp"
@@ -361,60 +358,10 @@ void BM_SimulationCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulationCycle)->Arg(1000)->Arg(10000);
 
-void BM_GraphSnapshot(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  auto net = sim::bootstrap::make_random(ProtocolSpec::newscast(),
-                                         ProtocolOptions{30, false}, n, 42);
-  sim::CycleEngine engine(net);
-  engine.run(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::UndirectedGraph::from_network(net));
-  }
-}
-BENCHMARK(BM_GraphSnapshot)->Arg(1000)->Arg(10000);
-
-void BM_ClusteringSampled(benchmark::State& state) {
-  auto net = sim::bootstrap::make_random(ProtocolSpec::newscast(),
-                                         ProtocolOptions{30, false}, 10000, 42);
-  sim::CycleEngine engine(net);
-  engine.run(5);
-  const auto g = graph::UndirectedGraph::from_network(net);
-  Rng rng(9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::clustering_coefficient_sampled(g, 1000, rng));
-  }
-}
-BENCHMARK(BM_ClusteringSampled);
-
-void BM_PathLengthSampled(benchmark::State& state) {
-  auto net = sim::bootstrap::make_random(ProtocolSpec::newscast(),
-                                         ProtocolOptions{30, false}, 10000, 42);
-  sim::CycleEngine engine(net);
-  engine.run(5);
-  const auto g = graph::UndirectedGraph::from_network(net);
-  Rng rng(10);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::average_path_length_sampled(g, 100, rng));
-  }
-}
-BENCHMARK(BM_PathLengthSampled);
-
-void BM_ConnectedComponents(benchmark::State& state) {
-  auto net = sim::bootstrap::make_random(ProtocolSpec::newscast(),
-                                         ProtocolOptions{30, false}, 10000, 42);
-  sim::CycleEngine engine(net);
-  engine.run(5);
-  const auto g = graph::UndirectedGraph::from_network(net);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::connected_components(g));
-  }
-}
-BENCHMARK(BM_ConnectedComponents);
-
 // --- GraphCensus on the same overlay ----------------------------------------
 // The arena-native census every figure driver measures through: one rebuild
 // (degrees, mutual bits, components) and its two sampled estimators, with
-// the sample sizes of the graph/ rungs above.
+// the figure drivers' default sample sizes (1000 nodes, 100 BFS sources).
 
 sim::Network census_overlay() {
   auto net = sim::bootstrap::make_random(ProtocolSpec::newscast(),

@@ -14,12 +14,13 @@
 // allocates after warm-up (the bench hard-fails otherwise).
 //
 // At sizes up to PSS_METRICS_EXACT_MAX the streaming results are
-// cross-checked against the exact graph::metrics pipeline: degree
-// histogram, degree summary and component structure must be bit-identical,
-// and the sampled estimators must reproduce the exact module's estimators
-// draw-for-draw from a cloned Rng. Any mismatch is a hard failure — the
-// equivalence contract is enforced on every bench run, not just in the
-// test suite. Results append to BENCH_metrics.json.
+// cross-checked against the exact snapshot-graph pipeline (graph::metrics,
+// the test oracle in tests/oracle/graph, linked for this check only):
+// degree histogram, degree summary and component structure must be
+// bit-identical, and the sampled estimators must reproduce the exact
+// module's estimators draw-for-draw from a cloned Rng. Any mismatch is a
+// hard failure — the equivalence contract is enforced on every bench run,
+// not just in the test suite. Results append to BENCH_metrics.json.
 //
 // Knobs (see docs/PERFORMANCE.md):
 //   PSS_METRICS_NS        comma-separated sizes    (default 10000,100000,1000000)

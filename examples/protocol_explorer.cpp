@@ -15,7 +15,6 @@
 
 #include "pss/experiments/reporting.hpp"
 #include "pss/experiments/scenario.hpp"
-#include "pss/graph/random_graph.hpp"
 
 namespace {
 

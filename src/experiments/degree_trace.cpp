@@ -1,8 +1,6 @@
 #include "pss/experiments/degree_trace.hpp"
 
 #include "pss/common/check.hpp"
-#include "pss/graph/metrics.hpp"
-#include "pss/graph/undirected_graph.hpp"
 #include "pss/obs/degree_autocorrelation.hpp"
 #include "pss/obs/graph_census.hpp"
 #include "pss/sim/cycle_engine.hpp"
@@ -39,31 +37,10 @@ DegreeTraceResult run_degree_trace(ProtocolSpec spec, const ScenarioParams& para
   for (std::size_t p : picks) traced_nodes.push_back(live[p]);
 
   DegreeTraceResult trace;
-  trace.series.assign(traced, {});
-  for (auto& s : trace.series) s.reserve(trace_cycles);
-
   sim::CycleEngine engine(network);
 
-  if (params.exact_metrics) {
-    // Reference path: one snapshot graph per traced cycle. Retained for
-    // small N; produces the same integers as the streaming path below
-    // (pinned by tests/obs_test.cpp).
-    for (Cycle t = 0; t < trace_cycles; ++t) {
-      engine.run_cycle();
-      const auto g = graph::UndirectedGraph::from_network(network);
-      for (std::size_t i = 0; i < traced_nodes.size(); ++i) {
-        const auto v = g.vertex_of(traced_nodes[i]);
-        PSS_CHECK_MSG(v != graph::UndirectedGraph::kNoVertex,
-                      "traced node disappeared from the overlay");
-        trace.series[i].push_back(static_cast<double>(g.degree(v)));
-      }
-      if (t + 1 == trace_cycles) trace.final_avg_degree = graph::average_degree(g);
-    }
-    return trace;
-  }
-
-  // Streaming path: union degrees straight off the arena census — no
-  // edge-list or snapshot-graph materialization per traced cycle.
+  // Union degrees straight off the arena census — no edge-list or
+  // snapshot-graph materialization per traced cycle.
   obs::GraphCensus census;
   obs::DegreeAutocorrelation tracker(traced_nodes, trace_cycles);
   for (Cycle t = 0; t < trace_cycles; ++t) {
@@ -82,9 +59,10 @@ DegreeTraceResult run_degree_trace(ProtocolSpec spec, const ScenarioParams& para
                     static_cast<double>(census.live_count());
     }
   }
-  for (std::size_t i = 0; i < traced_nodes.size(); ++i) {
+  trace.series.reserve(traced);
+  for (std::size_t i = 0; i < traced; ++i) {
     const auto s = tracker.series(i);
-    trace.series[i].assign(s.begin(), s.end());
+    trace.series.emplace_back(s.begin(), s.end());
   }
   return trace;
 }

@@ -1,7 +1,6 @@
 #include "pss/experiments/dual_overlay.hpp"
 
-#include "pss/graph/metrics.hpp"
-#include "pss/graph/undirected_graph.hpp"
+#include "pss/obs/graph_census.hpp"
 
 namespace pss::experiments {
 
@@ -49,8 +48,10 @@ void DualOverlay::clear_partitions() {
 }
 
 View DualOverlay::combined_view(NodeId id) const {
-  View combined =
-      View::merge(fast_.node(id).view(), slow_.node(id).view());
+  const auto fast = fast_.view_span(id);
+  const auto slow = slow_.view_span(id);
+  View combined = View::merge(View({fast.begin(), fast.end()}),
+                              View({slow.begin(), slow.end()}));
   combined.remove(id);
   return combined;
 }
@@ -83,24 +84,22 @@ std::uint64_t DualOverlay::count_dead_links() const {
 }
 
 bool DualOverlay::combined_connected() const {
-  const auto live = fast_.live_nodes();
-  const std::size_t n = live.size();
-  if (n == 0) return true;
-  std::vector<std::uint32_t> vertex_of(fast_.size(),
-                                       graph::UndirectedGraph::kNoVertex);
-  for (std::uint32_t v = 0; v < n; ++v) vertex_of[live[v]] = v;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    const View combined = combined_view(live[v]);
-    for (const auto& d : combined.entries()) {
-      if (d.address < vertex_of.size() &&
-          vertex_of[d.address] != graph::UndirectedGraph::kNoVertex) {
-        edges.emplace_back(v, vertex_of[d.address]);
-      }
+  // A combined view holds up to 2c entries: measure the union overlay as a
+  // network of its own.
+  ProtocolOptions options = fast_.options();
+  options.view_size *= 2;
+  sim::Network combined(fast_.spec(), options, 0);
+  combined.add_nodes(fast_.size());
+  for (NodeId id = 0; id < fast_.size(); ++id) {
+    if (fast_.is_live(id)) {
+      combined.arena().views.assign(id, combined_view(id).entries());
+    } else {
+      combined.kill(id);
     }
   }
-  graph::UndirectedGraph g(n, std::move(edges));
-  return graph::connected_components(g).connected();
+  obs::GraphCensus census;
+  census.rebuild(combined);
+  return census.components().count <= 1;
 }
 
 }  // namespace pss::experiments

@@ -1,10 +1,7 @@
 #include "pss/experiments/failure.hpp"
 
-#include <algorithm>
-
 #include "pss/common/check.hpp"
-#include "pss/graph/metrics.hpp"
-#include "pss/graph/undirected_graph.hpp"
+#include "pss/obs/graph_census.hpp"
 #include "pss/sim/cycle_engine.hpp"
 
 namespace pss::experiments {
@@ -19,24 +16,19 @@ std::vector<RemovalPoint> run_static_robustness(const sim::Network& converged,
   const std::size_t n = live.size();
   PSS_CHECK_MSG(n >= 2, "need a populated overlay");
 
-  // Snapshot the views once; every trial filters this same topology.
-  std::vector<View> views;
-  views.reserve(n);
-  std::vector<std::uint32_t> vertex_of(converged.size(),
-                                       graph::UndirectedGraph::kNoVertex);
-  for (std::uint32_t v = 0; v < n; ++v) vertex_of[live[v]] = v;
-
-  // Re-index the views into the compact [0, n) vertex space.
-  for (NodeId id : live) {
-    std::vector<NodeDescriptor> entries;
-    for (const auto& d : converged.view_span(id)) {
-      if (d.address < vertex_of.size() &&
-          vertex_of[d.address] != graph::UndirectedGraph::kNoVertex) {
-        entries.push_back({vertex_of[d.address], d.hop_count});
-      }
+  // One copy of the converged views: every trial kills its sample in it,
+  // measures the survivors and revives the sample with its views restored,
+  // so each trial sees this same topology.
+  sim::Network survivors(converged.spec(), converged.options(), 0);
+  survivors.add_nodes(converged.size());
+  for (NodeId id = 0; id < converged.size(); ++id) {
+    if (converged.is_live(id)) {
+      survivors.arena().views.assign(id, converged.view_span(id));
+    } else {
+      survivors.kill(id);
     }
-    views.emplace_back(std::move(entries));
   }
+  obs::GraphCensus census;
 
   std::vector<RemovalPoint> out;
   out.reserve(fractions.size());
@@ -50,25 +42,18 @@ std::vector<RemovalPoint> run_static_robustness(const sim::Network& converged,
     double outside_sum = 0;
     std::size_t partitioned = 0;
     for (std::size_t t = 0; t < trials; ++t) {
-      std::vector<std::uint8_t> alive(n, 1);
-      for (std::size_t idx : rng.sample_indices(n, remove_count)) alive[idx] = 0;
-      // Survivor graph: edges between surviving endpoints only.
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-      std::vector<std::uint32_t> compact(n, graph::UndirectedGraph::kNoVertex);
-      std::uint32_t survivors = 0;
-      for (std::uint32_t v = 0; v < n; ++v) {
-        if (alive[v]) compact[v] = survivors++;
+      const auto picks = rng.sample_indices(n, remove_count);
+      for (std::size_t idx : picks) survivors.kill(live[idx]);
+      // The census keeps edges between live endpoints only: the survivor
+      // graph.
+      census.rebuild(survivors);
+      outside_sum += static_cast<double>(census.components().outside_largest);
+      if (census.components().count > 1) ++partitioned;
+      for (std::size_t idx : picks) {
+        const NodeId id = live[idx];
+        survivors.revive(id);  // with an empty view
+        survivors.arena().views.assign(id, converged.view_span(id));
       }
-      for (std::uint32_t v = 0; v < n; ++v) {
-        if (!alive[v]) continue;
-        for (const auto& d : views[v].entries()) {
-          if (alive[d.address]) edges.emplace_back(compact[v], compact[d.address]);
-        }
-      }
-      graph::UndirectedGraph g(survivors, std::move(edges));
-      const auto comp = graph::connected_components(g);
-      outside_sum += static_cast<double>(comp.outside_largest());
-      if (comp.count > 1) ++partitioned;
     }
     point.avg_outside_largest = outside_sum / static_cast<double>(trials);
     point.partitioned_fraction =

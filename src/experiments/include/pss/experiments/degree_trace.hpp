@@ -31,9 +31,8 @@ struct DegreeTraceResult {
 /// Runs the random-init scenario for params.cycles warm-up cycles, picks
 /// `traced` random live nodes, then records their degrees for K further
 /// cycles. Degrees come from the streaming obs::GraphCensus (no snapshot
-/// graph per cycle); params.exact_metrics selects the legacy
-/// UndirectedGraph path, which produces identical numbers (pinned by
-/// tests/obs_test.cpp) but only scales to small N.
+/// graph per cycle); tests/obs_test.cpp replays every traced cycle against
+/// the snapshot-graph oracle.
 DegreeTraceResult run_degree_trace(ProtocolSpec spec, const ScenarioParams& params,
                                    std::size_t traced, Cycle trace_cycles);
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "pss/common/types.hpp"
-#include "pss/graph/metrics.hpp"
 #include "pss/obs/graph_census.hpp"
 #include "pss/protocol/spec.hpp"
 #include "pss/sim/network.hpp"
@@ -25,9 +24,12 @@ struct ScenarioParams {
   Cycle cycles = 300;               ///< cycles to run (paper: 300)
   std::uint64_t seed = 42;          ///< master seed
   Cycle sample_interval = 5;        ///< record metrics every k cycles
-  std::size_t path_sources = 100;   ///< BFS sources for path-length estimate
-  std::size_t clustering_sample = 1000;  ///< vertices for clustering estimate
-  bool exact_metrics = false;       ///< force exact estimators (tests)
+  /// BFS sources for the path-length estimate; a count of at least the
+  /// live nodes is the exact all-pairs mean (no draws).
+  std::size_t path_sources = 100;
+  /// Nodes for the clustering estimate; a count of at least the live
+  /// nodes is the exact mean of local coefficients (no draws).
+  std::size_t clustering_sample = 1000;
   std::size_t growth_per_cycle = 100;    ///< growing scenario joins per cycle
   bool remove_dead_on_failure = false;   ///< ablation A1 toggle
 
@@ -51,8 +53,8 @@ struct MetricsSample {
 
 /// Measures the live part of the overlay with the params' estimators,
 /// through `census` (rebuilt here; reuse one across samples so its buffers
-/// are sized once). Every field is bit-equal to the graph::metrics
-/// pipeline on the exact snapshot graph given the same `metric_rng` state.
+/// are sized once). Every field is bit-equal to the snapshot-graph oracle
+/// (tests/oracle/graph) given the same `metric_rng` state.
 /// `metric_rng` drives sampling only (never the protocol itself).
 MetricsSample measure(obs::GraphCensus& census, const sim::Network& network,
                       Cycle cycle, const ScenarioParams& params,

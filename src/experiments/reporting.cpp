@@ -1,8 +1,9 @@
 #include "pss/experiments/reporting.hpp"
 
+#include <algorithm>
+
+#include "pss/common/check.hpp"
 #include "pss/common/table.hpp"
-#include "pss/graph/metrics.hpp"
-#include "pss/graph/random_graph.hpp"
 #include "pss/obs/schemas.hpp"
 
 namespace pss::experiments {
@@ -13,13 +14,9 @@ void print_banner(std::ostream& os, const std::string& experiment,
   os << "=== " << experiment << " ===\n";
   os << "reproduces: " << paper_ref << "\n";
   os << "parameters: N=" << params.n << " c=" << params.view_size
-     << " cycles=" << params.cycles << " seed=" << params.seed;
-  if (!params.exact_metrics) {
-    os << " | estimators: path-BFS-sources=" << params.path_sources
-       << " clustering-sample=" << params.clustering_sample;
-  } else {
-    os << " | estimators: exact";
-  }
+     << " cycles=" << params.cycles << " seed=" << params.seed
+     << " | estimators: path-BFS-sources=" << params.path_sources
+     << " clustering-sample=" << params.clustering_sample;
   if (!extra.empty()) os << " | " << extra;
   os << "\n";
   os << "(set PSS_FULL=1 for paper-scale defaults; PSS_N / PSS_CYCLES / "
@@ -62,20 +59,24 @@ void print_series(std::ostream& os, const std::string& protocol,
 }
 
 BaselineMetrics measure_random_baseline(const ScenarioParams& params) {
+  PSS_CHECK_MSG(params.n >= 2, "graph needs at least two vertices");
   Rng rng(params.seed ^ 0xBA5E11FE5EEDULL);
-  const auto g = graph::random_view_graph(params.n, params.view_size, rng);
-  BaselineMetrics b;
-  b.avg_degree = graph::average_degree(g);
-  if (params.exact_metrics) {
-    b.clustering = graph::clustering_coefficient(g);
-    b.path_length = graph::average_path_length(g).average;
-  } else {
-    b.clustering =
-        graph::clustering_coefficient_sampled(g, params.clustering_sample, rng);
-    b.path_length =
-        graph::average_path_length_sampled(g, params.path_sources, rng).average;
+  // Node v's view: c distinct uniform draws from the other n - 1 nodes.
+  // The network's own master Rng drives nothing here.
+  sim::Network network(ProtocolSpec{}, params.protocol_options(), 0);
+  network.add_nodes(params.n);
+  const std::size_t out = std::min(params.view_size, params.n - 1);
+  std::vector<NodeDescriptor> view(out);
+  for (NodeId v = 0; v < params.n; ++v) {
+    const auto picks = rng.sample_indices(params.n - 1, out);
+    for (std::size_t i = 0; i < out; ++i) {
+      view[i] = {static_cast<NodeId>(picks[i] < v ? picks[i] : picks[i] + 1), 0};
+    }
+    std::sort(view.begin(), view.end(), ByHopThenAddress{});
+    network.arena().views.assign(v, view);
   }
-  return b;
+  const MetricsSample s = measure(network, 0, params, rng);
+  return {s.avg_degree, s.clustering, s.path_length};
 }
 
 }  // namespace pss::experiments

@@ -18,14 +18,11 @@ MetricsSample measure(obs::GraphCensus& census, const sim::Network& network,
   s.live_nodes = n;
   s.dead_links = census.dead_link_count();
   if (n == 0) return s;
-  // graph::average_degree's expression, on the same edge count.
+  // The oracle's average_degree expression, on the same edge count.
   s.avg_degree = 2.0 * static_cast<double>(census.undirected_edge_count()) /
                  static_cast<double>(n);
-  // A sample of every live node is the exact estimator (no draws).
-  s.clustering = census.clustering_sampled(
-      params.exact_metrics ? n : params.clustering_sample, metric_rng);
-  const auto path = census.path_length_sampled(
-      params.exact_metrics ? n : params.path_sources, metric_rng);
+  s.clustering = census.clustering_sampled(params.clustering_sample, metric_rng);
+  const auto path = census.path_length_sampled(params.path_sources, metric_rng);
   s.path_length = path.average;
   s.reachable_fraction = path.reachable_fraction;
   s.components = census.components().count;

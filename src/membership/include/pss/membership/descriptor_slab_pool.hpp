@@ -70,6 +70,10 @@ class DescriptorSlabPool {
     const SlabId id = static_cast<SlabId>(sizes_.size());
     entries_.resize(entries_.size() + stride_);
     sizes_.push_back(0);
+    // The free list can come to hold every slab: size it with the pool's
+    // capacity, so it reallocates only when the pool itself grows, never
+    // when the in-flight population dips to a new low.
+    free_.reserve(sizes_.capacity());
     return id;
   }
 

@@ -186,6 +186,9 @@ class CalendarQueue {
     }
     const std::uint32_t nid = static_cast<std::uint32_t>(pool_.size());
     pool_.emplace_back();
+    // Sized with the pool's capacity, the free list reallocates only when
+    // the pool does, never when the population dips to a new low.
+    free_.reserve(pool_.capacity());
     return nid;
   }
 

@@ -1,7 +1,8 @@
 // The flat event engine's contract, in three parts:
 //   1. CalendarQueue unit tests — deterministic (at, seq) pop order under
 //      ties, bucket growth/shrink, far-future events (the sparse direct-
-//      search path), and a randomized replay against std::priority_queue.
+//      search path), a randomized replay against std::priority_queue, and
+//      (with DescriptorSlabPool) no free-list growth on a full drain.
 //   2. EventQueue unit tests — the wake-up ring's FIFO order across
 //      wrap-around and growth, late batches merged between pending
 //      re-arms, (at, seq) ties between the ring and the calendar, the
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "pss/common/rng.hpp"
+#include "pss/membership/descriptor_slab_pool.hpp"
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/calendar_queue.hpp"
 #include "pss/sim/event_engine.hpp"
@@ -120,6 +122,28 @@ TEST(CalendarQueue, MatchesBinaryHeapUnderRandomizedHold) {
       ++seq;
     }
   }
+}
+
+TEST(CalendarQueue, DrainingAfterTheHighWaterAllocatesNothing) {
+  // The free list is sized with the node pool, so draining a full queue
+  // (the in-flight population dipping to a new low) never grows it.
+  CalendarQueue<std::uint32_t> q(1.0);
+  for (std::uint32_t i = 0; i < 1000; ++i) q.push(i / 1000.0, i, i);
+  const std::size_t high_water = q.storage_bytes();
+  while (!q.empty()) q.pop();
+  EXPECT_EQ(q.storage_bytes(), high_water);
+}
+
+// --- DescriptorSlabPool ------------------------------------------------------
+
+TEST(DescriptorSlabPool, DrainingAfterTheHighWaterAllocatesNothing) {
+  DescriptorSlabPool pool(31);
+  std::vector<DescriptorSlabPool::SlabId> ids;
+  for (int i = 0; i < 1000; ++i) ids.push_back(pool.acquire());
+  const std::size_t high_water = pool.storage_bytes();
+  for (const auto id : ids) pool.release(id);
+  EXPECT_EQ(pool.in_use(), 0u);
+  EXPECT_EQ(pool.storage_bytes(), high_water);
 }
 
 // --- EventQueue --------------------------------------------------------------

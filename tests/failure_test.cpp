@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "pss/experiments/failure.hpp"
+#include "pss/graph/metrics.hpp"
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/cycle_engine.hpp"
 
@@ -15,7 +16,7 @@ ScenarioParams small_params() {
   p.view_size = 15;  // keeps c/ln(N) near the paper's density regime
   p.cycles = 30;
   p.seed = 7;
-  p.exact_metrics = true;
+  p.clustering_sample = p.path_sources = p.n;  // exact: no draws
   return p;
 }
 
@@ -24,6 +25,91 @@ sim::Network converged_network(ProtocolSpec spec, const ScenarioParams& p) {
   sim::CycleEngine engine(net);
   engine.run(p.cycles);
   return net;
+}
+
+/// Figure 6's survivor-graph pipeline on the oracle: the converged views
+/// re-indexed once into the live vertex space, then per trial the same
+/// draws, a materialized survivor graph and its connected components.
+std::vector<RemovalPoint> oracle_static_robustness(
+    const sim::Network& converged, const std::vector<double>& fractions,
+    std::size_t trials, std::uint64_t seed) {
+  constexpr std::uint32_t kNone = graph::UndirectedGraph::kNoVertex;
+  Rng rng(seed);
+  const auto live = converged.live_nodes();
+  const std::size_t n = live.size();
+  std::vector<std::uint32_t> vertex_of(converged.size(), kNone);
+  for (std::uint32_t v = 0; v < n; ++v) vertex_of[live[v]] = v;
+  std::vector<std::vector<std::uint32_t>> views(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    for (const auto& d : converged.view_span(live[v])) {
+      if (d.address < vertex_of.size() && vertex_of[d.address] != kNone) {
+        views[v].push_back(vertex_of[d.address]);
+      }
+    }
+  }
+  std::vector<RemovalPoint> out;
+  for (double fraction : fractions) {
+    const auto remove_count = static_cast<std::size_t>(
+        static_cast<double>(n) * fraction + 0.5);
+    RemovalPoint point;
+    point.removed_fraction = fraction;
+    point.trials = trials;
+    double outside_sum = 0;
+    std::size_t partitioned = 0;
+    for (std::size_t t = 0; t < trials; ++t) {
+      std::vector<std::uint8_t> alive(n, 1);
+      for (std::size_t idx : rng.sample_indices(n, remove_count)) alive[idx] = 0;
+      std::vector<std::uint32_t> compact(n, kNone);
+      std::uint32_t survivors = 0;
+      for (std::uint32_t v = 0; v < n; ++v) {
+        if (alive[v]) compact[v] = survivors++;
+      }
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+      for (std::uint32_t v = 0; v < n; ++v) {
+        if (!alive[v]) continue;
+        for (std::uint32_t w : views[v]) {
+          if (alive[w]) edges.emplace_back(compact[v], compact[w]);
+        }
+      }
+      const auto comp = graph::connected_components(
+          graph::UndirectedGraph(survivors, std::move(edges)));
+      outside_sum += static_cast<double>(comp.outside_largest());
+      if (comp.count > 1) ++partitioned;
+    }
+    point.avg_outside_largest = outside_sum / static_cast<double>(trials);
+    point.partitioned_fraction =
+        static_cast<double>(partitioned) / static_cast<double>(trials);
+    out.push_back(point);
+  }
+  return out;
+}
+
+TEST(StaticRobustness, BitEqualToSurvivorGraphOracle) {
+  // Every evaluated protocol, on its converged overlay and again with some
+  // nodes dead (their descriptors left behind as dead links), from no
+  // removal to 95%.
+  const std::vector<double> fractions = {0.0, 0.3, 0.7, 0.9, 0.95};
+  for (const auto& spec : ProtocolSpec::evaluated()) {
+    SCOPED_TRACE(spec.name());
+    auto net = converged_network(spec, small_params());
+    for (const bool with_dead : {false, true}) {
+      SCOPED_TRACE(with_dead);
+      if (with_dead) {
+        Rng rng(5);
+        net.kill_random(30, rng);
+      }
+      const auto got = run_static_robustness(net, fractions, 6, 77);
+      const auto want = oracle_static_robustness(net, fractions, 6, 77);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE(fractions[i]);
+        EXPECT_EQ(got[i].removed_fraction, want[i].removed_fraction);
+        EXPECT_EQ(got[i].avg_outside_largest, want[i].avg_outside_largest);
+        EXPECT_EQ(got[i].partitioned_fraction, want[i].partitioned_fraction);
+        EXPECT_EQ(got[i].trials, want[i].trials);
+      }
+    }
+  }
 }
 
 TEST(StaticRobustness, NoPartitionAtLowRemoval) {

@@ -8,7 +8,7 @@
 #include "pss/experiments/failure.hpp"
 #include "pss/experiments/reporting.hpp"
 #include "pss/experiments/scenario.hpp"
-#include "pss/graph/random_graph.hpp"
+#include "pss/graph/metrics.hpp"
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/cycle_engine.hpp"
 #include "pss/stats/autocorrelation.hpp"
@@ -27,7 +27,6 @@ ScenarioParams mini() {
   p.cycles = 60;
   p.seed = 2024;
   p.sample_interval = 10;
-  p.exact_metrics = false;
   p.path_sources = 100;
   p.clustering_sample = 200;
   p.growth_per_cycle = 25;

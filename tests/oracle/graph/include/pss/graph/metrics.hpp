@@ -1,11 +1,14 @@
-// Graph-theoretic observables used throughout the evaluation (Section 4.2):
+// The test oracle for the evaluation's graph observables (Section 4.2):
 // degree distribution, clustering coefficient, average path length, and
-// connectivity (components / largest cluster / partitioning).
+// connectivity (components / largest cluster / partitioning), computed on
+// a materialized UndirectedGraph. The drivers measure through
+// obs::GraphCensus; the tests (and scale_metrics' exact cross-check) hold
+// the census to these textbook implementations.
 //
 // Exact variants are O(n·d²) (clustering) and O(n·(n+m)) (path length);
-// sampled variants take an explicit sample size and an Rng so that every
-// bench states its estimator precisely. Tests validate the estimators
-// against exact values on graphs with closed-form properties.
+// sampled variants take an explicit sample size and an Rng. Tests validate
+// the estimators against exact values on graphs with closed-form
+// properties.
 #pragma once
 
 #include <cstdint>

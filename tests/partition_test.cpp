@@ -6,6 +6,7 @@
 
 #include "pss/experiments/dual_overlay.hpp"
 #include "pss/experiments/partition.hpp"
+#include "pss/graph/metrics.hpp"
 #include "pss/protocol/dual_view_node.hpp"
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/cycle_engine.hpp"
@@ -177,6 +178,58 @@ TEST(DualOverlay, SurvivesLongPartitionWhereNewscastDoesNot) {
   dual.clear_partitions();
   dual.run(20);
   EXPECT_TRUE(dual.combined_connected());
+}
+
+/// The oracle's answer: the undirected graph over every live node's fast
+/// and slow view entries (live targets only), re-indexed into the live
+/// vertex space, through graph::connected_components.
+bool oracle_combined_connected(experiments::DualOverlay& dual) {
+  const sim::Network& fast = dual.fast_network();
+  const sim::Network& slow = dual.slow_network();
+  const auto live = fast.live_nodes();
+  std::vector<std::uint32_t> vertex_of(fast.size(),
+                                       graph::UndirectedGraph::kNoVertex);
+  for (std::uint32_t v = 0; v < live.size(); ++v) vertex_of[live[v]] = v;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+  for (std::uint32_t v = 0; v < live.size(); ++v) {
+    for (const sim::Network* overlay : {&fast, &slow}) {
+      for (const auto& d : overlay->view_span(live[v])) {
+        if (d.address < vertex_of.size() &&
+            vertex_of[d.address] != graph::UndirectedGraph::kNoVertex) {
+          edges.emplace_back(v, vertex_of[d.address]);
+        }
+      }
+    }
+  }
+  return graph::connected_components(
+             graph::UndirectedGraph(live.size(), std::move(edges)))
+      .connected();
+}
+
+TEST(DualOverlay, CombinedConnectivityMatchesGraphOracle) {
+  experiments::DualOverlay dual(300, ProtocolOptions{10, false}, 21);
+  dual.run(20);
+  EXPECT_TRUE(oracle_combined_connected(dual));
+  EXPECT_EQ(dual.combined_connected(), oracle_combined_connected(dual));
+
+  // During a split long enough for the fast overlay to lose the other side.
+  Rng rng(22);
+  for (std::size_t idx : rng.sample_indices(300, 150)) {
+    dual.set_partition_group(static_cast<NodeId>(idx), 1);
+  }
+  dual.run(40);
+  EXPECT_EQ(dual.combined_connected(), oracle_combined_connected(dual));
+
+  dual.clear_partitions();
+  dual.run(20);
+  EXPECT_EQ(dual.combined_connected(), oracle_combined_connected(dual));
+
+  // Kills that leave a few survivors, too sparse to stay in one piece.
+  for (std::size_t idx : rng.sample_indices(300, 285)) {
+    dual.kill(static_cast<NodeId>(idx));
+  }
+  EXPECT_FALSE(oracle_combined_connected(dual));
+  EXPECT_EQ(dual.combined_connected(), oracle_combined_connected(dual));
 }
 
 TEST(DualOverlay, KillPropagatesToBothOverlays) {

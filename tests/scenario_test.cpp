@@ -7,8 +7,8 @@
 
 #include "pss/experiments/reporting.hpp"
 #include "pss/experiments/scenario.hpp"
+#include "pss/graph/metrics.hpp"
 #include "pss/graph/random_graph.hpp"
-#include "pss/graph/undirected_graph.hpp"
 #include "pss/sim/bootstrap.hpp"
 #include "pss/sim/cycle_engine.hpp"
 
@@ -22,7 +22,7 @@ ScenarioParams small_params() {
   p.cycles = 20;
   p.seed = 42;
   p.sample_interval = 5;
-  p.exact_metrics = true;
+  p.clustering_sample = p.path_sources = p.n;  // exact: no draws
   p.growth_per_cycle = 20;
   return p;
 }
@@ -39,15 +39,9 @@ MetricsSample oracle_measure(const sim::Network& net, Cycle cycle,
   const auto g = graph::UndirectedGraph::from_network(net);
   if (g.vertex_count() == 0) return s;
   s.avg_degree = graph::average_degree(g);
-  graph::PathLengthResult path;
-  if (p.exact_metrics) {
-    s.clustering = graph::clustering_coefficient(g);
-    path = graph::average_path_length(g);
-  } else {
-    s.clustering =
-        graph::clustering_coefficient_sampled(g, p.clustering_sample, rng);
-    path = graph::average_path_length_sampled(g, p.path_sources, rng);
-  }
+  s.clustering =
+      graph::clustering_coefficient_sampled(g, p.clustering_sample, rng);
+  const auto path = graph::average_path_length_sampled(g, p.path_sources, rng);
   s.path_length = path.average;
   s.reachable_fraction = path.reachable_fraction;
   const auto comp = graph::connected_components(g);
@@ -190,9 +184,8 @@ TEST(GrowingScenario, SeriesBitEqualToGraphOracleSampleBySample) {
     ScenarioParams p = small_params();
     p.cycles = 17;
     p.sample_interval = 2;
-    p.exact_metrics = exact;
-    p.clustering_sample = 50;
-    p.path_sources = 70;
+    p.clustering_sample = exact ? p.n : 50;
+    p.path_sources = exact ? p.n : 70;
     const auto series = run_growing_scenario(ProtocolSpec::newscast(), p).series;
     const auto oracle = oracle_growing_series(ProtocolSpec::newscast(), p);
     ASSERT_EQ(series.size(), oracle.size());
@@ -242,12 +235,36 @@ TEST(Reporting, BannerAndSeriesRender) {
 TEST(Reporting, RandomBaselineMatchesTheory) {
   ScenarioParams p = small_params();
   p.n = 2000;
+  p.clustering_sample = p.path_sources = p.n;
   p.view_size = 15;
   const auto baseline = measure_random_baseline(p);
   EXPECT_NEAR(baseline.avg_degree,
               graph::expected_random_view_degree(2000, 15), 0.5);
   EXPECT_GT(baseline.path_length, 1.5);
   EXPECT_LT(baseline.clustering, 0.05);
+}
+
+TEST(Reporting, RandomBaselineBitEqualToGraphOracle) {
+  // The oracle's random c-out graph from the same stream, then its
+  // estimators continuing that stream: sampled, and over every node.
+  for (const std::size_t sample : {std::size_t{40}, std::size_t{400}}) {
+    SCOPED_TRACE(sample);
+    ScenarioParams p = small_params();
+    p.n = 400;
+    p.view_size = 9;
+    p.clustering_sample = p.path_sources = sample;
+    Rng rng(p.seed ^ 0xBA5E11FE5EEDULL);
+    const auto g = graph::random_view_graph(p.n, p.view_size, rng);
+    const double avg_degree = graph::average_degree(g);
+    const double clustering =
+        graph::clustering_coefficient_sampled(g, p.clustering_sample, rng);
+    const double path_length =
+        graph::average_path_length_sampled(g, p.path_sources, rng).average;
+    const auto baseline = measure_random_baseline(p);
+    EXPECT_EQ(baseline.avg_degree, avg_degree);
+    EXPECT_EQ(baseline.clustering, clustering);
+    EXPECT_EQ(baseline.path_length, path_length);
+  }
 }
 
 TEST(ScenarioParams, ProtocolOptionsPropagation) {
